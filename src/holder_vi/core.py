@@ -255,6 +255,9 @@ class SolverConfig:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if not (isinstance(self.p, (int, np.integer)) and self.p >= 2):
             raise ConfigError(f"p must be an integer >= 2, got {self.p}")
+        if self.p != 2 and self.method not in ("nu-aret", "uret"):
+            raise ConfigError(f"{self.method} is a second-order method; p must be 2, "
+                              f"got {self.p}")
         if self.max_doublings < 1:
             raise ConfigError("max_doublings must be at least 1")
         if self.inner_tol is None:

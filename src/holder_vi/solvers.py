@@ -3,26 +3,27 @@ extragradient baseline.
 
 Each iteration solves a regularized model VI for the half step, takes a
 projected prox step weighted by gamma = H * step^power, and maintains the
-running 1/gamma-weighted average of half steps.  Oracle counters tally
-only algorithmic evaluations; gap instrumentation uses the raw operator
-and is not billed.
+running 1/gamma-weighted average of half steps.  One driver runs this
+loop for every method; a method only supplies its half step.  Oracle
+counters tally only algorithmic evaluations; gap instrumentation uses the
+raw operator and is not billed.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
 from .core import Array, Ball, FeasibleSet, Operator, SolverConfig, WholeSpace, as_point
 from .errors import ConfigError, DegenerateRegularization
-from .linesearch import LineSearchOutcome, SearchMode, next_H, search
+from .linesearch import SearchMode, next_H, search
 from .metrics import bound_verdicts, gap_upper_bound
 from .model import RegularizedModel, build_linear_model
-from .subproblem import SubproblemSolution, gamma_of, prox_step, solve_model_vi
+from .subproblem import gamma_of, prox_step, solve_model_vi
 
 
 @dataclass
@@ -91,18 +92,30 @@ class RunResult:
     H_final: Optional[float] = None
 
 
+class _Averager:
+    def __init__(self, shape):
+        self.num = np.zeros(shape)
+        self.den = 0.0
+
+    def add(self, point: Array, gamma: float):
+        self.num = self.num + point / gamma
+        self.den += 1.0 / gamma
+
+    @property
+    def point(self) -> Array:
+        return self.num / self.den
+
+
 def ergodic_average(points: List[Array], gammas: List[float]) -> Array:
     """Weighted mean sum(p_i/g_i) / sum(1/g_i)."""
     if len(points) == 0 or len(points) != len(gammas):
         raise ConfigError("ergodic_average needs equal nonempty lists")
-    num = np.zeros_like(np.asarray(points[0], dtype=np.float64))
-    den = 0.0
+    avg = _Averager(np.shape(points[0]))
     for pt, g in zip(points, gammas):
         if not g > 0:
             raise DegenerateRegularization(f"averaging weight with gamma={g}")
-        num = num + np.asarray(pt, dtype=np.float64) / g
-        den += 1.0 / g
-    return num / den
+        avg.add(np.asarray(pt, dtype=np.float64), g)
+    return avg.point
 
 
 def k_for_accuracy(nu: float, H: float, D: float, eps: float) -> int:
@@ -136,46 +149,109 @@ class _GapProbe:
         return float(f @ (point - witness))
 
 
-class _Averager:
-    def __init__(self, dim: int):
-        self.num = np.zeros(dim)
-        self.den = 0.0
+class _Half(NamedTuple):
+    """A method's half step: the point, F there (already billed), the
+    weight gamma of the full step and the record fields.  ``early_gap``
+    set means the point already meets the universal gap target."""
 
-    def add(self, point: Array, gamma: float):
-        self.num = self.num + point / gamma
-        self.den += 1.0 / gamma
-
-    @property
-    def empty(self) -> bool:
-        return self.den == 0.0
-
-    @property
-    def point(self) -> Array:
-        return self.num / self.den
+    point: Array
+    f: Array
+    step_norm: float
+    gamma: float
+    H_k: float
+    i_k: int = 0
+    early_gap: Optional[float] = None
 
 
-def _finish(method, cop, cfg, records, avg, gap_probe, early_exit, converged_at,
-            override_point=None, nu_decl=None, H_decl=None, D=None, H_final=None,
-            p=2, c_pnu=None):
-    if override_point is not None:
-        out_point = override_point
-    elif not avg.empty:
+def _drive(method: str, op: Operator, feasible: FeasibleSet, z0: Array, K: int,
+           cfg: SolverConfig, half_step: Callable, *, H_decl: Optional[float],
+           H0: Optional[float] = None, full_step: Optional[Callable] = None,
+           p: int = 2, c_pnu: Optional[float] = None) -> RunResult:
+    """The outer loop shared by every method.
+
+    ``half_step(cop, z, H, probe)`` returns the method's ``_Half`` at z; H
+    is the line-search coefficient carried between iterations (halved
+    from the accepted one, None unless ``H0`` is given) and ``probe`` the
+    run's gap probe.  The full step is the gamma-weighted prox step unless
+    ``full_step(z, half)`` is given.  A zero gamma (the half step is
+    already a model solution at z) or an early exit ends the run at the
+    half step.  ``H_decl``/``p``/``c_pnu`` are the declared constants the
+    bound verdicts are checked against; None means not applicable.
+    """
+    if H0 is not None and not H0 > 0:
+        raise ConfigError(f"{method} needs H0 > 0")
+    counters = Counters()
+    cop = CountedOperator(op, counters)
+    probe = _GapProbe(op, feasible, cfg)
+    z = feasible.project(as_point(z0, op.dim))
+    avg = _Averager(op.dim)
+    records: List[IterationRecord] = []
+    H = H0
+    early = converged_at = out_point = None
+    for k in range(K):
+        t0 = time.perf_counter_ns()
+        half = half_step(cop, z, H, probe)
+        if half.early_gap is not None:
+            early = EarlyExit(k=k, i=half.i_k, point=half.point, gap=half.early_gap)
+            out_point = half.point
+            break
+        if half.gamma <= 0.0:
+            converged_at = k
+            out_point = z_next = half.point
+            gp = ga = probe(half.point)
+        else:
+            z_next = (prox_step(z, half.f, half.gamma, feasible) if full_step is None
+                      else full_step(z, half))
+            avg.add(half.point, half.gamma)
+            want_gap = (k % cfg.gap_cadence == 0) or (k == K - 1)
+            gp = probe.from_value(half.point, half.f)
+            ga = probe(avg.point) if want_gap else float("nan")
+        records.append(IterationRecord(
+            k=k, i_k=half.i_k, H_k=half.H_k, gamma_k=half.gamma,
+            half_step=half.point, full_step=z_next, step_norm=half.step_norm,
+            F_evals_cum=counters.f_evals, J_evals_cum=counters.j_evals,
+            subproblems_cum=counters.subproblems, gap_point=gp, gap_avg=ga,
+            wall_ns=time.perf_counter_ns() - t0))
+        if converged_at is not None:
+            break
+        if H is not None:
+            H = next_H(H, half.i_k)
+        z = z_next
+    if out_point is None:
+        if not records:
+            raise ConfigError("run produced no iterations to average")
         out_point = avg.point
-    else:
-        raise ConfigError("run produced no iterations to average")
-    gap = gap_probe(out_point)
-    checks = bound_verdicts(records, method, nu_decl if nu_decl is not None else cfg.nu,
-                            H_decl, D, cfg.H0, cfg.eps,
-                            early_exit=early_exit is not None, p=p, c_pnu=c_pnu)
-    return RunResult(method=method, averaged_point=out_point, final_gap=gap,
-                     records=records, early_exit=early_exit, bound_checks=checks,
-                     converged_at=converged_at, counters=cop.counters, config=cfg,
-                     H_final=H_final)
-
-
-def _declared(op: Operator, cfg: SolverConfig):
+    gap = probe(out_point)
     nu_decl = op.nu if op.nu is not None else cfg.nu
-    return nu_decl, op.holder_const
+    checks = bound_verdicts(records, method, nu_decl, H_decl, feasible.diameter,
+                            cfg.H0, cfg.eps, early_exit=early is not None,
+                            p=p, c_pnu=c_pnu)
+    return RunResult(method=method, averaged_point=out_point, final_gap=gap,
+                     records=records, early_exit=early, bound_checks=checks,
+                     converged_at=converged_at, counters=counters, config=cfg,
+                     H_final=H)
+
+
+def _search_step(feasible: FeasibleSet, mode: SearchMode, cfg: SolverConfig,
+                 eps_exit: Optional[float] = None,
+                 trials: Optional[Callable] = None) -> Callable:
+    """Half step of the line-search methods: ``search`` from the carried H.
+
+    By default trials use the second-order regularized model;
+    ``trials(cop, z)`` may supply the ``solve_trial``/``base_eval``
+    keywords of ``search`` for other models.  ``eps_exit`` switches on
+    the universal early exit.
+    """
+    def half_step(cop, z, H, probe):
+        out = search(cop, feasible, z, H, mode, cfg.inner_tol, cfg.max_doublings,
+                     gap_check=probe.from_value if eps_exit is not None else None,
+                     gap_target=eps_exit, counters=cop.counters,
+                     **(trials(cop, z) if trials is not None else {}))
+        return _Half(out.accepted_point, out.f_at_accepted, out.step_norm,
+                     gamma_of(out.H_trial, mode.reg_power, out.step_norm),
+                     out.H_trial, out.i_k, out.early_exit_gap)
+
+    return half_step
 
 
 def run_nu_ren(op: Operator, feasible: FeasibleSet, z0: Array, nu: float,
@@ -187,140 +263,34 @@ def run_nu_ren(op: Operator, feasible: FeasibleSet, z0: Array, nu: float,
     """
     if not H_nu > 0:
         raise ConfigError("run_nu_ren needs H_nu > 0")
-    counters = Counters()
-    cop = CountedOperator(op, counters)
-    gap_probe = _GapProbe(op, feasible, cfg)
-    z = feasible.project(as_point(z0, op.dim))
-    avg = _Averager(op.dim)
-    records: List[IterationRecord] = []
-    nu_decl, H_decl = _declared(op, cfg)
     coeff = 2.0 * H_nu
-    converged_at = None
-    override = None
-    for k in range(K):
-        t0 = time.perf_counter_ns()
+
+    def half_step(cop, z, H, probe):
         base = build_linear_model(cop, z)
-        counters.subproblems += 1
+        cop.counters.subproblems += 1
         sol = solve_model_vi(RegularizedModel(base, nu, coeff), feasible, cfg.inner_tol)
-        half = sol.point
-        step = float(np.linalg.norm(half - z))
-        gamma = gamma_of(coeff, nu, step)
-        f_half = cop.value(half)
-        if gamma <= 0.0:
-            converged_at = k
-            override = half
-            gp = gap_probe(half)
-            records.append(IterationRecord(
-                k=k, i_k=0, H_k=coeff, gamma_k=0.0, half_step=half,
-                full_step=half, step_norm=step, F_evals_cum=counters.f_evals,
-                J_evals_cum=counters.j_evals, subproblems_cum=counters.subproblems,
-                gap_point=gp, gap_avg=gp, wall_ns=time.perf_counter_ns() - t0))
-            break
-        z_next = prox_step(z, f_half, gamma, feasible)
-        avg.add(half, gamma)
-        want_gap = (k % cfg.gap_cadence == 0) or (k == K - 1)
-        gp = gap_probe.from_value(half, f_half)
-        ga = gap_probe(avg.point) if want_gap else float("nan")
-        records.append(IterationRecord(
-            k=k, i_k=0, H_k=coeff, gamma_k=gamma, half_step=half,
-            full_step=z_next, step_norm=step, F_evals_cum=counters.f_evals,
-            J_evals_cum=counters.j_evals, subproblems_cum=counters.subproblems,
-            gap_point=gp, gap_avg=ga, wall_ns=time.perf_counter_ns() - t0))
-        z = z_next
-    return _finish("nu-ren", cop, cfg, records, avg, gap_probe, None, converged_at,
-                   override_point=override, nu_decl=nu_decl, H_decl=H_decl,
-                   D=feasible.diameter)
+        step = float(np.linalg.norm(sol.point - z))
+        return _Half(sol.point, cop.value(sol.point), step,
+                     gamma_of(coeff, nu, step), coeff)
 
-
-def _adaptive_run(method: str, op, feasible, z0, mode: SearchMode, H0: float,
-                  K: int, cfg: SolverConfig, eps_exit: Optional[float],
-                  trial_factory: Optional[Callable] = None,
-                  nu_decl_override=None, H_decl_override=None,
-                  p: int = 2, c_pnu: Optional[float] = None) -> RunResult:
-    """Common loop for the line-search methods.
-
-    ``trial_factory(cop, z)`` may supply (solve_trial, base_eval) closures
-    for non-quadratic models; by default trials use the second-order
-    regularized model.  ``eps_exit`` switches on the universal early exit.
-    """
-    if not H0 > 0:
-        raise ConfigError(f"{method} needs H0 > 0")
-    counters = Counters()
-    cop = CountedOperator(op, counters)
-    gap_probe = _GapProbe(op, feasible, cfg)
-    z = feasible.project(as_point(z0, op.dim))
-    avg = _Averager(op.dim)
-    records: List[IterationRecord] = []
-    if nu_decl_override is not None or H_decl_override is not None:
-        nu_decl, H_decl = nu_decl_override, H_decl_override
-    else:
-        nu_decl, H_decl = _declared(op, cfg)
-    H_state = H0
-    converged_at = None
-    early = None
-    override = None
-    gap_check = gap_probe.from_value if eps_exit is not None else None
-    for k in range(K):
-        t0 = time.perf_counter_ns()
-        if trial_factory is None:
-            outcome = search(cop, feasible, z, H_state, mode, cfg.inner_tol,
-                             cfg.max_doublings, gap_check=gap_check,
-                             gap_target=eps_exit, counters=counters)
-        else:
-            solve_trial, base_eval = trial_factory(cop, z)
-            outcome = search(cop, feasible, z, H_state, mode, cfg.inner_tol,
-                             cfg.max_doublings, solve_trial=solve_trial,
-                             base_eval=base_eval, gap_check=gap_check,
-                             gap_target=eps_exit, counters=counters)
-        if outcome.early_exit_gap is not None:
-            early = EarlyExit(k=k, i=outcome.i_k, point=outcome.accepted_point,
-                              gap=outcome.early_exit_gap)
-            override = outcome.accepted_point
-            break
-        half = outcome.accepted_point
-        step = outcome.step_norm
-        gamma = gamma_of(outcome.H_trial, mode.reg_power, step)
-        if gamma <= 0.0:
-            converged_at = k
-            override = half
-            gp = gap_probe(half)
-            records.append(IterationRecord(
-                k=k, i_k=outcome.i_k, H_k=outcome.H_trial, gamma_k=0.0,
-                half_step=half, full_step=half, step_norm=step,
-                F_evals_cum=counters.f_evals, J_evals_cum=counters.j_evals,
-                subproblems_cum=counters.subproblems, gap_point=gp, gap_avg=gp,
-                wall_ns=time.perf_counter_ns() - t0))
-            break
-        z_next = prox_step(z, outcome.f_at_accepted, gamma, feasible)
-        avg.add(half, gamma)
-        want_gap = (k % cfg.gap_cadence == 0) or (k == K - 1)
-        gp = gap_probe.from_value(half, outcome.f_at_accepted)
-        ga = gap_probe(avg.point) if want_gap else float("nan")
-        records.append(IterationRecord(
-            k=k, i_k=outcome.i_k, H_k=outcome.H_trial, gamma_k=gamma,
-            half_step=half, full_step=z_next, step_norm=step,
-            F_evals_cum=counters.f_evals, J_evals_cum=counters.j_evals,
-            subproblems_cum=counters.subproblems, gap_point=gp, gap_avg=ga,
-            wall_ns=time.perf_counter_ns() - t0))
-        H_state = next_H(H_state, outcome.i_k)
-        z = z_next
-    return _finish(method, cop, cfg, records, avg, gap_probe, early, converged_at,
-                   override_point=override, nu_decl=nu_decl, H_decl=H_decl,
-                   D=feasible.diameter, H_final=H_state, p=p, c_pnu=c_pnu)
+    return _drive("nu-ren", op, feasible, z0, K, cfg, half_step,
+                  H_decl=op.holder_const)
 
 
 def run_nu_aren(op: Operator, feasible: FeasibleSet, z0: Array, nu: float,
                 H0: float, K: int, cfg: SolverConfig) -> RunResult:
     """Adaptive run with the known-exponent criterion (power nu, e = 1+nu)."""
-    return _adaptive_run("nu-aren", op, feasible, z0, SearchMode.holder(nu),
-                         H0, K, cfg, eps_exit=None)
+    return _drive("nu-aren", op, feasible, z0, K, cfg,
+                  _search_step(feasible, SearchMode.holder(nu), cfg),
+                  H_decl=op.holder_const, H0=H0)
 
 
 def run_uren(op: Operator, feasible: FeasibleSet, z0: Array, H0: float,
              K: int, eps: float, cfg: SolverConfig) -> RunResult:
     """Universal run (power 1, e = 2) with gap early exit at eps."""
-    return _adaptive_run("uren", op, feasible, z0, SearchMode.universal(),
-                         H0, K, cfg, eps_exit=eps)
+    return _drive("uren", op, feasible, z0, K, cfg,
+                  _search_step(feasible, SearchMode.universal(), cfg, eps_exit=eps),
+                  H_decl=op.holder_const, H0=H0)
 
 
 def estimate_lipschitz(op: Operator, feasible: FeasibleSet, n_samples: int = 200,
@@ -350,29 +320,15 @@ def run_extragradient(op: Operator, feasible: FeasibleSet, z0: Array,
         step = 1.0 / (2.0 * L) if L > 0 else 1.0
     if not step > 0:
         raise ConfigError("extragradient needs a positive step")
-    counters = Counters()
-    cop = CountedOperator(op, counters)
-    gap_probe = _GapProbe(op, feasible, cfg)
-    z = feasible.project(as_point(z0, op.dim))
-    avg = _Averager(op.dim)
-    records: List[IterationRecord] = []
-    for k in range(K):
-        t0 = time.perf_counter_ns()
-        f_z = cop.value(z)
-        half = feasible.project(z - step * f_z)
-        f_half = cop.value(half)
-        z_next = feasible.project(z - step * f_half)
-        avg.add(half, 1.0)
-        want_gap = (k % cfg.gap_cadence == 0) or (k == K - 1)
-        gp = gap_probe.from_value(half, f_half)
-        ga = gap_probe(avg.point) if want_gap else float("nan")
-        records.append(IterationRecord(
-            k=k, i_k=0, H_k=0.0, gamma_k=1.0, half_step=half, full_step=z_next,
-            step_norm=float(np.linalg.norm(half - z)),
-            F_evals_cum=counters.f_evals, J_evals_cum=counters.j_evals,
-            subproblems_cum=counters.subproblems, gap_point=gp, gap_avg=ga,
-            wall_ns=time.perf_counter_ns() - t0))
-        z = z_next
-    return _finish("extragradient", cop, cfg, records, avg, gap_probe, None, None,
-                   nu_decl=op.nu if op.nu is not None else cfg.nu,
-                   H_decl=op.holder_const, D=feasible.diameter)
+
+    def half_step(cop, z, H, probe):
+        half = feasible.project(z - step * cop.value(z))
+        return _Half(half, cop.value(half), float(np.linalg.norm(half - z)), 1.0, 0.0)
+
+    # written out rather than prox_step(z, f, 1/step): z - f / (1/step)
+    # rounds differently from z - step * f
+    def full_step(z, half):
+        return feasible.project(z - step * half.f)
+
+    return _drive("extragradient", op, feasible, z0, K, cfg, half_step,
+                  H_decl=op.holder_const, full_step=full_step)

@@ -1,8 +1,8 @@
 """Higher-order Taylor models and the p-th order adaptive/universal runs.
 
 The order-p model keeps Taylor terms up to degree p-1 and adds the radial
-regularizer H |d|^power d.  At p=2 everything reduces exactly to the
-second-order path (same arrays, same solves); p=3 models are solved by
+regularizer H |d|^power d.  p=2 runs are the second-order line-search
+runs under the tensor method's name; p=3 models are solved by
 projected extragradient on the model closure, with a damped-Newton polish
 on whole-space instances to localize degenerate roots.
 """
@@ -10,7 +10,7 @@ on whole-space instances to localize degenerate roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -19,7 +19,7 @@ from .core import Array, FeasibleSet, Operator, SolverConfig, WholeSpace
 from .errors import SubproblemFailure, UnsupportedOrder
 from .linesearch import SearchMode, TrialRejected
 from .model import LinearModel, RegularizedModel
-from .solvers import RunResult, _adaptive_run
+from .solvers import RunResult, _drive, _search_step
 from .subproblem import SubproblemSolution, peg_callable, solve_model_vi
 
 _PEG_MAX_EVALS_TENSOR = 40_000
@@ -164,39 +164,28 @@ def run_uret(op: Operator, feasible: FeasibleSet, z0: Array, p: int,
 def _run_tensor(op, feasible, z0, method, mode, p, H0, K, cfg, eps_exit) -> RunResult:
     if p < 2:
         raise UnsupportedOrder(f"order must be >= 2, got {p}")
-    nu_decl = op.nu if op.nu is not None else cfg.nu
-    if p >= 3:
-        H_decl = getattr(op, "holder_const_p3", None)
-        c_pnu = c_p_nu(p, nu_decl)
-    else:
-        H_decl = op.holder_const
-        c_pnu = None
+    if p == 2:
+        return _drive(method, op, feasible, z0, K, cfg,
+                      _search_step(feasible, mode, cfg, eps_exit),
+                      H_decl=op.holder_const, H0=H0)
 
-    def trial_factory(cop, z):
+    def trials(cop, z):
         # anchor derivatives evaluated once per outer iteration and shared
         # across trials, matching the second-order path's accounting
         proto = make_tensor_model(cop, z, p, mode.reg_power, 1.0)
 
         def solve_trial(H):
             cop.counters.subproblems += 1
-            if isinstance(proto, RegularizedModel):
-                m = RegularizedModel(proto.base, proto.power, H)
-                return solve_tensor_subproblem(m, feasible, cfg.inner_tol)
-            m = TensorModel(anchor=proto.anchor, order=proto.order,
-                            value=proto.value, jacobian=proto.jacobian,
-                            deriv=proto.deriv, power=proto.power, H=H)
             try:
-                return solve_tensor_subproblem(m, feasible, cfg.inner_tol)
+                return solve_tensor_subproblem(replace(proto, H=H), feasible,
+                                               cfg.inner_tol)
             except SubproblemFailure as exc:
                 raise TrialRejected(str(exc)) from exc
 
-        def base_eval(zp):
-            if isinstance(proto, RegularizedModel):
-                return proto.base(zp)
-            return proto.taylor(zp)
+        return {"solve_trial": solve_trial, "base_eval": proto.taylor}
 
-        return solve_trial, base_eval
-
-    return _adaptive_run(method, op, feasible, z0, mode, H0, K, cfg, eps_exit,
-                         trial_factory=trial_factory, nu_decl_override=nu_decl,
-                         H_decl_override=H_decl, p=p, c_pnu=c_pnu)
+    nu_decl = op.nu if op.nu is not None else cfg.nu
+    return _drive(method, op, feasible, z0, K, cfg,
+                  _search_step(feasible, mode, cfg, eps_exit, trials),
+                  H_decl=getattr(op, "holder_const_p3", None), H0=H0, p=p,
+                  c_pnu=c_p_nu(p, nu_decl))

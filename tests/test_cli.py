@@ -131,6 +131,14 @@ def test_nonpositive_k_is_config_error(tmp_path):
     assert main(solve_args(tmp_path, "--K", "0")) == 3
 
 
+def test_order_on_second_order_method_is_config_error(tmp_path, capsys):
+    rc = main(["solve", "--problem", "quartic:d=4", "--method", "nu-aren",
+               "--H0", "auto", "--p", "3", "--K", "10", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "p must be 2" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_missing_method_is_config_error(tmp_path):
     assert main(["solve", "--problem", "power:d=3", "--out", str(tmp_path)]) == 3
 

@@ -201,6 +201,8 @@ def test_config_rejects_bad_scalars():
     with pytest.raises(ConfigError):
         SolverConfig(method="extragradient", p=1)
     with pytest.raises(ConfigError):
+        SolverConfig(method="nu-aren", H0=1.0, p=3)
+    with pytest.raises(ConfigError):
         SolverConfig(method="extragradient", max_doublings=0)
     with pytest.raises(ConfigError):
         SolverConfig(method="extragradient", gap_cadence=0)

@@ -95,6 +95,25 @@ def test_ergodic_average_input_errors():
         ergodic_average([np.zeros(1)], [0.0])
 
 
+@pytest.mark.parametrize("method", ["nu-ren", "nu-aren", "extragradient"])
+def test_ergodic_average_matches_run_average(method, power_nu_half):
+    op, fs = power_nu_half.operator, power_nu_half.feasible
+    z0 = default_start(power_nu_half)
+    if method == "nu-ren":
+        cfg = SolverConfig(method=method, nu=0.5, H=2.0, K=12)
+        run = run_nu_ren(op, fs, z0, 0.5, 2.0, 12, cfg)
+    elif method == "nu-aren":
+        cfg = SolverConfig(method=method, nu=0.5, H0=0.7, K=12)
+        run = run_nu_aren(op, fs, z0, 0.5, 0.7, 12, cfg)
+    else:
+        cfg = SolverConfig(method=method, K=12)
+        run = run_extragradient(op, fs, z0, None, 12, cfg)
+    assert run.converged_at is None and run.early_exit is None
+    avg = ergodic_average([r.half_step for r in run.records],
+                          [r.gamma_k for r in run.records])
+    assert np.array_equal(avg, run.averaged_point)
+
+
 def test_iteration_budget_fixture():
     # nu = 1, H = D = 1, eps = 1e-3: ceil(2 * (1e3)^(2/3)) = 200
     assert k_for_accuracy(1.0, 1.0, 1.0, 1e-3) == 200
