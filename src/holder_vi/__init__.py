@@ -28,7 +28,6 @@ from .errors import (
     UnboundedGapError,
     UnsupportedOrder,
 )
-from .kernels import active_backend
 from .linesearch import LineSearchOutcome, SearchMode, search
 from .metrics import (
     GapCertificate,
@@ -70,7 +69,7 @@ __all__ = [
     "holder_ratio_max", "ConfigError", "DegenerateRegularization",
     "EvaluationError", "HolderVIError", "LineSearchExhausted", "RateFitError",
     "SubproblemFailure", "UnboundedGapError", "UnsupportedOrder",
-    "active_backend", "LineSearchOutcome", "SearchMode", "search",
+    "LineSearchOutcome", "SearchMode", "search",
     "GapCertificate", "Verdict", "c_nu_constant", "fit_rate_slope",
     "gap_upper_bound", "grid_gap_max", "theorem_bound_report", "LinearModel",
     "RegularizedModel", "build_linear_model", "remainder_bound",

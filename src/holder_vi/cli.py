@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import METHODS, SolverConfig
 from .errors import ConfigError, HolderVIError
-from .kernels import active_backend
 from .metrics import fit_rate_slope
 from .problems import ProblemInstance, default_start, parse_problem
 from .solvers import (
@@ -51,6 +50,9 @@ _INT_KEYS = {"K", "p", "max_doublings", "seed", "gap_cadence"}
 _AUTO_KEYS = {"nu", "H", "H0", "step"}
 
 _DEFAULT_GRID = (16, 32, 64, 128, 256, 512, 1024)
+
+# BLAS threading variables; the thread count changes dense-solve rounding
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,6 +258,12 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
+def _environment() -> dict:
+    """The numeric environment that byte-identical traces depend on."""
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            **{v: os.environ.get(v) for v in _BLAS_THREAD_VARS}}
+
+
 def summary_payload(instance: ProblemInstance, cfg: SolverConfig,
                     res: RunResult) -> dict:
     checks = {}
@@ -269,7 +277,7 @@ def summary_payload(instance: ProblemInstance, cfg: SolverConfig,
         early = {"k": res.early_exit.k, "i": res.early_exit.i,
                  "gap": _finite_or_none(res.early_exit.gap)}
     return {
-        "backend": active_backend(),
+        "environment": _environment(),
         "problem": instance.name,
         "method": res.method,
         "K": cfg.K,
@@ -282,6 +290,7 @@ def summary_payload(instance: ProblemInstance, cfg: SolverConfig,
         "H_final": _finite_or_none(res.H_final),
         "counters": {"F_evals": res.counters.f_evals,
                      "J_evals": res.counters.j_evals,
+                     "D_evals": res.counters.d_evals,
                      "subproblems": res.counters.subproblems},
         "bound_checks": checks,
     }

@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, EvaluationError, UnboundedGapError, UnsupportedOrder
-from .kernels import KIND_BALL, KIND_BOX, KIND_WHOLE
 
 Array = np.ndarray
 
@@ -118,10 +117,6 @@ class FeasibleSet:
         """n points from the set, rows of an (n, dim) array."""
         raise NotImplementedError
 
-    def kernel_args(self):
-        """(kind, lo, hi, radius) encoding consumed by kernels.peg_regularized."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class WholeSpace(FeasibleSet):
@@ -141,9 +136,6 @@ class WholeSpace(FeasibleSet):
 
     def sample(self, rng: np.random.Generator, n: int) -> Array:
         return rng.standard_normal((n, self.dim))
-
-    def kernel_args(self):
-        return KIND_WHOLE, np.zeros(self.dim), np.zeros(self.dim), 0.0
 
 
 @dataclass(frozen=True)
@@ -181,9 +173,6 @@ class Ball(FeasibleSet):
         r = self.radius * rng.random(n) ** (1.0 / self.dim)
         return self.center + u * r[:, None]
 
-    def kernel_args(self):
-        return KIND_BALL, self.center, np.zeros(self.dim), float(self.radius)
-
 
 @dataclass(frozen=True)
 class Box(FeasibleSet):
@@ -211,9 +200,6 @@ class Box(FeasibleSet):
     def sample(self, rng: np.random.Generator, n: int) -> Array:
         u = rng.random((n, self.dim))
         return self.lower + u * (self.upper - self.lower)
-
-    def kernel_args(self):
-        return KIND_BOX, self.lower, self.upper, 0.0
 
 
 @dataclass

@@ -1,129 +1,10 @@
-"""Hot inner loops with an optional numba backend.
+"""Whether the numba package is importable.
 
-The one kernel that dominates runtime is the projected extragradient
-iteration on a frozen regularized linear model (arrays ``c``, ``J`` and an
-anchor, plus two scalars).  It is written once in plain numpy and compiled
-with numba when available; ``HOLDER_VI_BACKEND`` forces a choice:
-
-    auto   use numba if importable (default)
-    numba  require numba, raise if missing
-    numpy  pure-numpy fallback
+No solver path uses numba; the projected extragradient loop lives in
+``subproblem.peg_callable``.  The flag remains for tools that report the
+numeric environment a run happened in.
 """
 
-from __future__ import annotations
+import importlib.util
 
-import os
-
-import numpy as np
-
-try:
-    import numba as nb
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-# Set encodings understood by the kernel: 0 whole space, 1 ball, 2 box.
-KIND_WHOLE = 0
-KIND_BALL = 1
-KIND_BOX = 2
-
-
-def _peg_regularized(c, J, anchor, coeff, power, kind, lo, hi, radius,
-                     tol, max_evals, beta0):
-    """Projected extragradient on F(u) = c + J(u-a) + coeff*|u-a|^power (u-a).
-
-    Returns (point, natural_map_residual, model_evaluations).  The residual
-    uses a unit step: ||u - P(u - F(u))||.  ``lo``/``hi`` double as
-    center/unused for balls and lower/upper for boxes.
-    """
-    u = anchor.copy()
-    beta = beta0
-    evals = 0
-    res = np.inf
-    while evals < max_evals:
-        d = u - anchor
-        nd = np.sqrt(np.sum(d * d))
-        Fu = c + J @ d + (coeff * nd ** power) * d
-        evals += 1
-        w = u - Fu
-        if kind == 1:
-            s = w - lo
-            n = np.sqrt(np.sum(s * s))
-            if n > radius:
-                w = lo + s * (radius / n)
-        elif kind == 2:
-            w = np.minimum(np.maximum(w, lo), hi)
-        res = np.sqrt(np.sum((u - w) ** 2))
-        if res <= tol:
-            return u, res, evals
-        # half step with backtracked beta, then the mirrored full step
-        while True:
-            w = u - beta * Fu
-            if kind == 1:
-                s = w - lo
-                n = np.sqrt(np.sum(s * s))
-                if n > radius:
-                    w = lo + s * (radius / n)
-            elif kind == 2:
-                w = np.minimum(np.maximum(w, lo), hi)
-            v = w
-            dv = v - anchor
-            ndv = np.sqrt(np.sum(dv * dv))
-            Fv = c + J @ dv + (coeff * ndv ** power) * dv
-            evals += 1
-            dn = np.sqrt(np.sum((v - u) ** 2))
-            if dn == 0.0:
-                return u, res, evals
-            # 0.7 < 1/sqrt(2), the contraction threshold for extragradient
-            if beta * np.sqrt(np.sum((Fv - Fu) ** 2)) <= 0.7 * dn:
-                break
-            beta *= 0.5
-            if beta < 1e-18 or evals >= max_evals:
-                return u, res, evals
-        w = u - beta * Fv
-        if kind == 1:
-            s = w - lo
-            n = np.sqrt(np.sum(s * s))
-            if n > radius:
-                w = lo + s * (radius / n)
-        elif kind == 2:
-            w = np.minimum(np.maximum(w, lo), hi)
-        u = w
-        b2 = beta * 1.05
-        if b2 < beta0:
-            beta = b2
-        else:
-            beta = beta0
-    return u, res, evals
-
-
-_peg_numpy = _peg_regularized
-if HAS_NUMBA:
-    _peg_numba = nb.njit(cache=True)(_peg_regularized)
-
-_choice = os.environ.get("HOLDER_VI_BACKEND", "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"HOLDER_VI_BACKEND must be auto|numba|numpy, got {_choice!r}")
-if _choice == "numba" and not HAS_NUMBA:
-    raise RuntimeError("HOLDER_VI_BACKEND=numba but numba is not importable")
-
-_USE_NUMBA = HAS_NUMBA and _choice in ("auto", "numba")
-
-
-def active_backend() -> str:
-    """Name of the backend the kernel dispatches to ('numba' or 'numpy')."""
-    return "numba" if _USE_NUMBA else "numpy"
-
-
-def peg_regularized(c, J, anchor, coeff, power, kind, lo, hi, radius,
-                    tol, max_evals, beta0):
-    """Backend-dispatched projected extragradient, see _peg_regularized."""
-    f = _peg_numba if _USE_NUMBA else _peg_numpy
-    return f(np.ascontiguousarray(c, dtype=np.float64),
-             np.ascontiguousarray(J, dtype=np.float64),
-             np.ascontiguousarray(anchor, dtype=np.float64),
-             float(coeff), float(power), int(kind),
-             np.ascontiguousarray(lo, dtype=np.float64),
-             np.ascontiguousarray(hi, dtype=np.float64),
-             float(radius), float(tol), int(max_evals), float(beta0))
+HAS_NUMBA = importlib.util.find_spec("numba") is not None

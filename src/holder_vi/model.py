@@ -47,11 +47,6 @@ class RegularizedModel:
         nd = float(np.linalg.norm(d))
         return self.base(z) + (self.H * nd ** self.power) * d
 
-    def kernel_args(self):
-        """(c, J, anchor, coeff, power) for kernels.peg_regularized."""
-        return (self.base.value, self.base.jacobian, self.base.anchor,
-                self.H, self.power)
-
 
 def build_linear_model(op: Operator, z: Array) -> LinearModel:
     """Linearize ``op`` at ``z``; costs one value and one Jacobian call."""

@@ -30,11 +30,12 @@ from .subproblem import gamma_of, prox_step, solve_model_vi
 class Counters:
     f_evals: int = 0
     j_evals: int = 0
+    d_evals: int = 0
     subproblems: int = 0
 
 
 class CountedOperator:
-    """Operator wrapper billing value/jacobian calls to a Counters object."""
+    """Operator wrapper billing oracle calls to a Counters object."""
 
     def __init__(self, op: Operator, counters: Counters):
         self._op = op
@@ -50,6 +51,7 @@ class CountedOperator:
         return self._op.jacobian(z)
 
     def deriv_apply(self, order, z, dirs):
+        self.counters.d_evals += 1
         return self._op.deriv_apply(order, z, dirs)
 
 

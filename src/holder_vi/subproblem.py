@@ -5,8 +5,9 @@ stationarity condition (J + lam I) d = -c with lam = H*|d|^power reduces
 to a scalar equation in lam, solved by a damped fixed point with a
 bisection fallback.  A ball constraint adds a boundary multiplier t and a
 nested scalar solve.  Boxes (and any secular breakdown) use a projected
-extragradient iteration on the frozen model; accuracy is always certified
-by the natural-map residual |u - P(u - M(u))|.
+extragradient iteration on the frozen model, the same loop that order-3
+models run on; accuracy is always certified by the natural-map residual
+|u - P(u - M(u))|.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from .core import Array, Ball, Box, FeasibleSet, WholeSpace
 from .errors import DegenerateRegularization, SubproblemFailure
-from .kernels import peg_regularized
 from .model import RegularizedModel
 
 _BUDGET_UNCONSTRAINED = 200
@@ -159,10 +159,10 @@ def _radial_lambda(J: Array, rhs: Array, H: float, power: float, tol: float,
 
 
 def _secular_whole(model: RegularizedModel, tol: float) -> SubproblemSolution:
-    c, J, anchor, H, power = model.kernel_args()
     budget = _Budget(_BUDGET_UNCONSTRAINED)
-    d, lam = _radial_lambda(J, c, H, power, tol, budget)
-    u = anchor + d
+    d, lam = _radial_lambda(model.base.jacobian, model.base.value, model.H,
+                            model.power, tol, budget)
+    u = model.anchor + d
     res = float(np.linalg.norm(model(u)))
     if res > tol:
         raise _SecularBreakdown(f"whole-space secular residual {res:g} > {tol:g}")
@@ -171,7 +171,8 @@ def _secular_whole(model: RegularizedModel, tol: float) -> SubproblemSolution:
 
 
 def _secular_ball(model: RegularizedModel, feasible: Ball, tol: float) -> SubproblemSolution:
-    c, J, anchor, H, power = model.kernel_args()
+    c, J, anchor = model.base.value, model.base.jacobian, model.anchor
+    H, power = model.H, model.power
     w = anchor - feasible.center
     r = feasible.radius
     budget = _Budget(_BUDGET_UNCONSTRAINED)
@@ -229,7 +230,7 @@ def _secular_ball(model: RegularizedModel, feasible: Ball, tol: float) -> Subpro
 
 
 def _beta0_for(model: RegularizedModel, feasible: FeasibleSet) -> float:
-    c, J, anchor, H, power = model.kernel_args()
+    anchor, H, power = model.anchor, model.H, model.power
     if isinstance(feasible, Ball):
         dmax = float(np.linalg.norm(anchor - feasible.center)) + feasible.radius
     elif isinstance(feasible, Box):
@@ -237,8 +238,9 @@ def _beta0_for(model: RegularizedModel, feasible: FeasibleSet) -> float:
                                                np.abs(feasible.upper - anchor))))
     else:
         # whole space: solutions satisfy H|d|^(1+power) <= |c| |d|, roughly
-        dmax = 3.0 * (float(np.linalg.norm(c)) / max(H, 1e-30)) ** (1.0 / (1.0 + power)) + 1.0
-    lip = float(np.linalg.norm(J)) + H * (1.0 + power) * dmax ** power
+        c_norm = float(np.linalg.norm(model.base.value))
+        dmax = 3.0 * (c_norm / max(H, 1e-30)) ** (1.0 / (1.0 + power)) + 1.0
+    lip = float(np.linalg.norm(model.base.jacobian)) + H * (1.0 + power) * dmax ** power
     return 1.0 / (1.0 + lip)
 
 
@@ -246,8 +248,10 @@ def peg_callable(model: Callable[[Array], Array], feasible: FeasibleSet,
                  start: Array, tol: float, max_evals: int, beta0: float):
     """Projected extragradient with backtracked step on a callable model.
 
-    Mirrors kernels.peg_regularized but accepts arbitrary model closures
-    (used for third-order models).  Returns (point, residual, evals).
+    The one PEG loop: regularized first-order models (boxes and secular
+    fallbacks) and third-order model closures both run through it.  The
+    residual uses a unit step, |u - P(u - M(u))|.  Returns (point,
+    residual, evals).
     """
     u = np.asarray(start, dtype=np.float64).copy()
     beta = beta0
@@ -266,6 +270,7 @@ def peg_callable(model: Callable[[Array], Array], feasible: FeasibleSet,
             dn = float(np.linalg.norm(v - u))
             if dn == 0.0:
                 return u, res, evals
+            # 0.7 < 1/sqrt(2), the contraction threshold for extragradient
             if beta * float(np.linalg.norm(Fv - Fu)) <= 0.7 * dn:
                 break
             beta *= 0.5
@@ -276,13 +281,20 @@ def peg_callable(model: Callable[[Array], Array], feasible: FeasibleSet,
     return u, res, evals
 
 
+def peg_regularized(start: Array, model: RegularizedModel, feasible: FeasibleSet,
+                    tol: float, max_evals: int, beta0: float):
+    """peg_callable on a regularized model, under a name of its own.
+
+    Kept separate so that the first-order fallback can be timed and
+    counted apart from the order-3 calls: ``_peg_model`` looks it up here.
+    """
+    return peg_callable(model, feasible, start, tol, max_evals, beta0)
+
+
 def _peg_model(model: RegularizedModel, feasible: FeasibleSet, tol: float,
                max_evals: int) -> SubproblemSolution:
-    c, J, anchor, H, power = model.kernel_args()
-    kind, lo, hi, radius = feasible.kernel_args()
-    beta0 = _beta0_for(model, feasible)
-    u, res, evals = peg_regularized(c, J, anchor, H, power, kind, lo, hi,
-                                    radius, tol, max_evals, beta0)
+    u, res, evals = peg_regularized(model.anchor, model, feasible, tol,
+                                    max_evals, _beta0_for(model, feasible))
     if res > tol:
         raise SubproblemFailure(
             f"projected extragradient stopped at residual {res:g} > {tol:g} "

@@ -28,7 +28,9 @@ def strip_wall(rows):
 
 # -------------------------------------------------------------------- solve
 
-def test_solve_writes_trace_and_summary(tmp_path):
+def test_solve_writes_trace_and_summary(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     assert main(solve_args(tmp_path)) == 0
     comments, rows = read_trace(tmp_path / "trace.csv")
     assert rows[0] == TRACE_HEADER
@@ -39,9 +41,14 @@ def test_solve_writes_trace_and_summary(tmp_path):
     assert payload["method"] == "nu-ren"
     assert payload["K"] == 10
     assert payload["iterations"] == 10
-    assert payload["backend"] in ("numba", "numpy")
+    env = payload["environment"]
+    assert env["OPENBLAS_NUM_THREADS"] == "3"
+    assert env["MKL_NUM_THREADS"] is None
+    assert set(env) == {"python", "numpy", "OPENBLAS_NUM_THREADS",
+                        "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert payload["final_gap"] >= 0.0
-    assert set(payload["counters"]) == {"F_evals", "J_evals", "subproblems"}
+    assert set(payload["counters"]) == {"F_evals", "J_evals", "D_evals",
+                                        "subproblems"}
     assert set(payload["bound_checks"]) == {"C_nu", "H_bound", "oracle_budget",
                                             "universal_cap"}
 

@@ -24,7 +24,6 @@ from holder_vi.errors import (
     UnboundedGapError,
     UnsupportedOrder,
 )
-from holder_vi.kernels import KIND_BALL, KIND_BOX, KIND_WHOLE
 
 
 def identity_op(d):
@@ -138,12 +137,6 @@ def test_box_support_ties_go_to_upper_corner():
 def test_box_rejects_crossed_bounds():
     with pytest.raises(ConfigError):
         Box(1, np.array([1.0]), np.array([0.0]))
-
-
-def test_kernel_args_kinds():
-    assert WholeSpace(2).kernel_args()[0] == KIND_WHOLE
-    assert Ball(2, np.zeros(2), 1.0).kernel_args()[0] == KIND_BALL
-    assert Box(2, -np.ones(2), np.ones(2)).kernel_args()[0] == KIND_BOX
 
 
 def test_samples_land_inside(rng):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holder_vi.core import Ball, Box, WholeSpace
 from holder_vi.errors import DegenerateRegularization, SubproblemFailure
@@ -165,6 +167,59 @@ def test_secular_matches_extragradient(rng):
         peg = solve_model_vi(m, WholeSpace(d), 1e-10, prefer="peg")
         worst = max(worst, float(np.linalg.norm(sec.point - peg.point)))
     assert worst <= 1e-6
+
+
+def random_model(rng, d, power, H, anchor=None):
+    B = rng.standard_normal((d, d))
+    J = B @ B.T / d + 0.2 * (B - B.T)  # PSD symmetric part plus skew
+    if anchor is None:
+        anchor = 0.1 * rng.standard_normal(d)
+    return RegularizedModel(LinearModel(anchor, rng.standard_normal(d), J),
+                            power, H)
+
+
+SETS = {
+    "whole": lambda rng, d: WholeSpace(d),
+    "ball": lambda rng, d: Ball(d, rng.standard_normal(d), 1.0 + rng.random()),
+    "box": lambda rng, d: Box(d, -0.1 - rng.random(d), 0.1 + rng.random(d)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SETS))
+def test_peg_reaches_tolerance(kind):
+    rng = np.random.default_rng(3)
+    d, budget = 6, 200_000
+    fs = SETS[kind](rng, d)
+    m = random_model(rng, d, 0.5, 1.5, anchor=fs.sample(rng, 1)[0])
+    sol = solve_model_vi(m, fs, 1e-10, prefer="peg", peg_max_evals=budget)
+    assert sol.method == "peg"
+    assert sol.residual <= 1e-10
+    assert 0 < sol.evals < budget
+    assert natural_residual(m, fs, sol.point) <= 1e-10
+
+
+def test_peg_power_zero_returns_anchor_exactly():
+    # 0^0 = 1: at u = anchor the radial term is H * 0 and must not be NaN
+    anchor = np.array([0.3, -0.2, 0.5])
+    m = RegularizedModel(LinearModel(anchor, np.zeros(3), np.eye(3)), 0.0, 2.0)
+    sol = solve_model_vi(m, WholeSpace(3), 1e-12, prefer="peg")
+    assert sol.residual == 0.0
+    np.testing.assert_array_equal(sol.point, anchor)
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(SETS)),
+       power=st.sampled_from([0.0, 0.5, 1.0]), H=st.floats(0.2, 5.0))
+def test_peg_agrees_with_secular_on_random_models(seed, kind, power, H):
+    rng = np.random.default_rng(seed)
+    d, tol = 4, 1e-10
+    fs = SETS[kind](rng, d)
+    m = random_model(rng, d, power, H, anchor=fs.sample(rng, 1)[0])
+    peg = solve_model_vi(m, fs, tol, prefer="peg")
+    assert peg.residual <= tol
+    if kind != "box":
+        sec = solve_model_vi(m, fs, tol)
+        assert np.linalg.norm(peg.point - sec.point) <= 1e-6
 
 
 def test_indefinite_jacobian_warns_and_falls_back():

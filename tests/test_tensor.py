@@ -1,6 +1,7 @@
 """Order-p models: remainder constant, subproblem, adaptive/universal runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,21 @@ def test_order_three_oracle_accounting(bilinear):
     assert run.counters.f_evals == len(run.records) + trials
     assert run.counters.j_evals == len(run.records)
     assert run.counters.subproblems == trials
+
+
+def test_order_three_bills_every_second_derivative(quartic):
+    calls = []
+
+    def counted(order, z, dirs):
+        calls.append(order)
+        return quartic.operator.deriv_fn(order, z, dirs)
+
+    op = replace(quartic.operator, deriv_fn=counted)
+    cfg = SolverConfig(method="nu-aret", nu=1.0, H0=1.0, K=2, p=3)
+    run = run_nu_aret(op, quartic.feasible, default_start(quartic), 3, 1.0,
+                      1.0, 2, cfg)
+    assert len(calls) > 0
+    assert run.counters.d_evals == len(calls)
 
 
 def test_adaptive_order_three_h_bound_on_quartic(quartic):
