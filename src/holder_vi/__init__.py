@@ -33,6 +33,7 @@ from .metrics import (
     GapCertificate,
     Verdict,
     c_nu_constant,
+    c_p_nu,
     fit_rate_slope,
     gap_upper_bound,
     grid_gap_max,
@@ -59,7 +60,7 @@ from .solvers import (
     run_uren,
 )
 from .subproblem import gamma_of, natural_residual, prox_step, solve_model_vi
-from .tensor import c_p_nu, make_tensor_model, run_nu_aret, run_uret
+from .tensor import make_tensor_model, run_nu_aret, run_uret
 
 __version__ = "0.1.0"
 

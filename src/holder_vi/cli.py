@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import METHODS, SolverConfig
 from .errors import ConfigError, HolderVIError
-from .metrics import fit_rate_slope
+from .metrics import c_p_nu, fit_rate_slope
 from .problems import ProblemInstance, default_start, parse_problem
 from .solvers import (
     RunResult,
@@ -36,7 +36,7 @@ from .solvers import (
     run_nu_ren,
     run_uren,
 )
-from .tensor import c_p_nu, run_nu_aret, run_uret
+from .tensor import run_nu_aret, run_uret
 from .verify import GROUPS, all_passed, format_table, run_checks
 
 _TRACE_COLUMNS = ("k", "i_k", "H_k", "gamma_k", "step_norm", "F_evals_cum",
@@ -165,6 +165,9 @@ def _resolve(args) -> tuple:
     p_raw = settings.get("p")
     p = 2 if p_raw is None else int(p_raw)
     settings["p"] = p
+    if p >= 3 and instance.operator.deriv_fn is None:
+        raise ConfigError(f"problem {instance.name} has no derivative oracle of "
+                          f"order {p - 1}; order-{p} methods need one")
     if settings.get("H") == "auto":
         if instance.declared_H <= 0:
             raise ConfigError(
@@ -186,19 +189,12 @@ def _resolve(args) -> tuple:
 
 def execute(instance: ProblemInstance, cfg: SolverConfig) -> RunResult:
     """Dispatch one resolved run."""
-    op, fs = instance.operator, instance.feasible
+    # looked up per call, so a rebound module-level run_* takes effect
+    runs = {"nu-ren": run_nu_ren, "nu-aren": run_nu_aren, "uren": run_uren,
+            "nu-aret": run_nu_aret, "uret": run_uret,
+            "extragradient": run_extragradient}
     z0 = default_start(instance, seed=cfg.seed)
-    if cfg.method == "nu-ren":
-        return run_nu_ren(op, fs, z0, cfg.nu, cfg.H, cfg.K, cfg)
-    if cfg.method == "nu-aren":
-        return run_nu_aren(op, fs, z0, cfg.nu, cfg.H0, cfg.K, cfg)
-    if cfg.method == "uren":
-        return run_uren(op, fs, z0, cfg.H0, cfg.K, cfg.eps, cfg)
-    if cfg.method == "nu-aret":
-        return run_nu_aret(op, fs, z0, cfg.p, cfg.nu, cfg.H0, cfg.K, cfg)
-    if cfg.method == "uret":
-        return run_uret(op, fs, z0, cfg.p, cfg.H0, cfg.K, cfg.eps, cfg)
-    return run_extragradient(op, fs, z0, cfg.step, cfg.K, cfg)
+    return runs[cfg.method](instance.operator, instance.feasible, z0, cfg)
 
 
 def config_echo(instance: ProblemInstance, cfg: SolverConfig) -> List[str]:

@@ -202,14 +202,16 @@ class Box(FeasibleSet):
         return self.lower + u * (self.upper - self.lower)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Validated run parameters shared by all solvers.
+    """Validated run parameters: the one source of every value a run uses.
 
     ``inner_tol=None`` resolves to min(1e-10, eps * 1e-4).  ``H`` is the
     smoothness constant for fixed-coefficient runs, ``H0`` the starting
-    coefficient for line-search runs.  ``report_radius`` substitutes a
-    bounded reporting set when the feasible set is the whole space.
+    coefficient for line-search runs, ``step`` the extragradient step
+    (None: estimated).  ``report_radius`` substitutes a bounded reporting
+    set when the feasible set is the whole space.  Frozen, so the checks
+    below hold for the whole run.
     """
 
     method: str
@@ -239,15 +241,15 @@ class SolverConfig:
             raise ConfigError(f"K must be a positive integer, got {self.K}")
         if not (self.eps > 0):
             raise ConfigError(f"eps must be positive, got {self.eps}")
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 2):
-            raise ConfigError(f"p must be an integer >= 2, got {self.p}")
+        if not (isinstance(self.p, (int, np.integer)) and 2 <= self.p <= 3):
+            raise ConfigError(f"p must be 2 or 3, got {self.p}")
         if self.p != 2 and self.method not in ("nu-aret", "uret"):
             raise ConfigError(f"{self.method} is a second-order method; p must be 2, "
                               f"got {self.p}")
         if self.max_doublings < 1:
             raise ConfigError("max_doublings must be at least 1")
         if self.inner_tol is None:
-            self.inner_tol = min(1e-10, self.eps * 1e-4)
+            object.__setattr__(self, "inner_tol", min(1e-10, self.eps * 1e-4))
         if not (self.inner_tol > 0):
             raise ConfigError(f"inner_tol must be positive, got {self.inner_tol}")
         if self.step is not None and not (self.step > 0):

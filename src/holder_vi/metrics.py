@@ -116,6 +116,15 @@ def fit_rate_slope(trace: Sequence[Tuple[float, float]]) -> float:
     return float(slope)
 
 
+def c_p_nu(p: int, nu: float) -> float:
+    """Taylor remainder constant (1/(p-2)!) * B(nu+1, p-1) = G(1+nu)/G(p+nu)."""
+    if p < 2:
+        raise ValueError(f"order must be >= 2, got {p}")
+    if not (0.0 <= nu <= 1.0):
+        raise ValueError(f"nu must lie in [0, 1], got {nu}")
+    return math.gamma(1.0 + nu) / math.gamma(p + nu)
+
+
 def c_nu_constant(nu: float) -> float:
     """The analysis constant 1 - 1/(8(1+nu)^2); informational only."""
     return 1.0 - 1.0 / (8.0 * (1.0 + nu) ** 2)
@@ -149,13 +158,13 @@ def _leveled(measured: float, bound: float, rel: float) -> Verdict:
 
 def bound_verdicts(records, method: str, nu: float, declared_H: Optional[float],
                    D: float, H0: Optional[float], eps: float,
-                   early_exit: bool = False, p: int = 2,
-                   c_pnu: Optional[float] = None) -> Dict[str, Verdict]:
+                   early_exit: bool = False, p: int = 2) -> Dict[str, Verdict]:
     """Verdicts for the adaptive-H ceiling, oracle budget, and universal cap.
 
     ``records`` need fields H_k and i_k.  ``declared_H`` is the problem's
-    smoothness constant (order-2 pairs use H_nu, order-p pairs H_{p,nu});
-    None or 0 renders the bound checks not-applicable.
+    smoothness constant (order-2 pairs use H_nu, order-p pairs H_{p,nu},
+    scaled by ``c_p_nu(p, nu)``); None or 0 renders the bound checks
+    not-applicable.
     """
     out: Dict[str, Verdict] = {"C_nu": Verdict(INFO, measured=c_nu_constant(nu),
                                                note="analysis constant, not used by iterations")}
@@ -178,7 +187,7 @@ def bound_verdicts(records, method: str, nu: float, declared_H: Optional[float],
             out["H_bound"] = Verdict(NOT_APPLICABLE, note=note)
             out["oracle_budget"] = Verdict(NOT_APPLICABLE, note=note)
         else:
-            ceiling = (2.0 * c_pnu * declared_H if p >= 3
+            ceiling = (2.0 * c_p_nu(p, nu) * declared_H if p >= 3
                        else 2.0 * declared_H / (1.0 + nu))
             start_ok = H0 is not None and H0 <= ceiling / 2.0 * (1.0 + 1e-12)
             v = _leveled(max(h_states), ceiling, rel=1e-9)
@@ -206,7 +215,7 @@ def bound_verdicts(records, method: str, nu: float, declared_H: Optional[float],
                                        note="appendix cap display diverges at nu=1")
     else:
         if method == "uret" and p >= 3:
-            cap = tensor_universal_cap(p, nu, c_pnu, declared_H, D, eps)
+            cap = tensor_universal_cap(p, nu, c_p_nu(p, nu), declared_H, D, eps)
         else:
             cap = universal_cap(nu, declared_H, D, eps)
         out["universal_cap"] = _leveled(h_next_max, cap, rel=1e-6)
@@ -215,15 +224,7 @@ def bound_verdicts(records, method: str, nu: float, declared_H: Optional[float],
 
 def theorem_bound_report(run, instance, cfg) -> Dict[str, Verdict]:
     """Re-derive the run's bound verdicts from an instance's declared constants."""
-    declared_H = instance.declared_H
-    p = getattr(cfg, "p", 2)
-    c_pnu = None
-    if p >= 3:
-        from .tensor import c_p_nu
-
-        declared_H = getattr(instance, "declared_H_p3", None)
-        c_pnu = c_p_nu(p, instance.declared_nu)
+    declared_H = instance.declared_H_p3 if cfg.p >= 3 else instance.declared_H
     return bound_verdicts(run.records, run.method, instance.declared_nu,
                           declared_H, instance.diameter, cfg.H0, cfg.eps,
-                          early_exit=run.early_exit is not None, p=p,
-                          c_pnu=c_pnu)
+                          early_exit=run.early_exit is not None, p=cfg.p)

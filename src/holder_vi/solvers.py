@@ -18,7 +18,16 @@ from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
-from .core import Array, Ball, FeasibleSet, Operator, SolverConfig, WholeSpace, as_point
+from .core import (
+    ADAPTIVE_METHODS,
+    Array,
+    Ball,
+    FeasibleSet,
+    Operator,
+    SolverConfig,
+    WholeSpace,
+    as_point,
+)
 from .errors import ConfigError, DegenerateRegularization
 from .linesearch import SearchMode, next_H, search
 from .metrics import bound_verdicts, gap_upper_bound
@@ -165,32 +174,32 @@ class _Half(NamedTuple):
     early_gap: Optional[float] = None
 
 
-def _drive(method: str, op: Operator, feasible: FeasibleSet, z0: Array, K: int,
-           cfg: SolverConfig, half_step: Callable, *, H_decl: Optional[float],
-           H0: Optional[float] = None, full_step: Optional[Callable] = None,
-           p: int = 2, c_pnu: Optional[float] = None) -> RunResult:
+def _drive(method: str, op: Operator, feasible: FeasibleSet, z0: Array,
+           cfg: SolverConfig, half_step: Callable,
+           full_step: Optional[Callable] = None) -> RunResult:
     """The outer loop shared by every method.
 
     ``half_step(cop, z, H, probe)`` returns the method's ``_Half`` at z; H
     is the line-search coefficient carried between iterations (halved
-    from the accepted one, None unless ``H0`` is given) and ``probe`` the
-    run's gap probe.  The full step is the gamma-weighted prox step unless
-    ``full_step(z, half)`` is given.  A zero gamma (the half step is
-    already a model solution at z) or an early exit ends the run at the
-    half step.  ``H_decl``/``p``/``c_pnu`` are the declared constants the
-    bound verdicts are checked against; None means not applicable.
+    from the accepted one, starting at ``cfg.H0``; None for methods
+    without a line search) and ``probe`` the run's gap probe.  The full
+    step is the gamma-weighted prox step unless ``full_step(z, half)`` is
+    given.  A zero gamma (the half step is already a model solution at z)
+    or an early exit ends the run at the half step.  The bound verdicts
+    are checked against the operator's declared constants of order
+    ``cfg.p``.
     """
-    if H0 is not None and not H0 > 0:
-        raise ConfigError(f"{method} needs H0 > 0")
+    if cfg.method != method:
+        raise ConfigError(f"{method} run given a {cfg.method} config")
     counters = Counters()
     cop = CountedOperator(op, counters)
     probe = _GapProbe(op, feasible, cfg)
     z = feasible.project(as_point(z0, op.dim))
     avg = _Averager(op.dim)
     records: List[IterationRecord] = []
-    H = H0
+    H = cfg.H0 if method in ADAPTIVE_METHODS else None
     early = converged_at = out_point = None
-    for k in range(K):
+    for k in range(cfg.K):
         t0 = time.perf_counter_ns()
         half = half_step(cop, z, H, probe)
         if half.early_gap is not None:
@@ -205,7 +214,7 @@ def _drive(method: str, op: Operator, feasible: FeasibleSet, z0: Array, K: int,
             z_next = (prox_step(z, half.f, half.gamma, feasible) if full_step is None
                       else full_step(z, half))
             avg.add(half.point, half.gamma)
-            want_gap = (k % cfg.gap_cadence == 0) or (k == K - 1)
+            want_gap = (k % cfg.gap_cadence == 0) or (k == cfg.K - 1)
             gp = probe.from_value(half.point, half.f)
             ga = probe(avg.point) if want_gap else float("nan")
         records.append(IterationRecord(
@@ -225,9 +234,10 @@ def _drive(method: str, op: Operator, feasible: FeasibleSet, z0: Array, K: int,
         out_point = avg.point
     gap = probe(out_point)
     nu_decl = op.nu if op.nu is not None else cfg.nu
-    checks = bound_verdicts(records, method, nu_decl, H_decl, feasible.diameter,
+    declared_H = op.holder_const_p3 if cfg.p >= 3 else op.holder_const
+    checks = bound_verdicts(records, method, nu_decl, declared_H, feasible.diameter,
                             cfg.H0, cfg.eps, early_exit=early is not None,
-                            p=p, c_pnu=c_pnu)
+                            p=cfg.p)
     return RunResult(method=method, averaged_point=out_point, final_gap=gap,
                      records=records, early_exit=early, bound_checks=checks,
                      converged_at=converged_at, counters=counters, config=cfg,
@@ -256,18 +266,15 @@ def _search_step(feasible: FeasibleSet, mode: SearchMode, cfg: SolverConfig,
     return half_step
 
 
-def run_nu_ren(op: Operator, feasible: FeasibleSet, z0: Array, nu: float,
-               H_nu: float, K: int, cfg: SolverConfig) -> RunResult:
-    """Fixed-coefficient extra-Newton run: model coefficient exactly 2 H_nu.
+def run_nu_ren(op: Operator, feasible: FeasibleSet, z0: Array,
+               cfg: SolverConfig) -> RunResult:
+    """Fixed-coefficient extra-Newton run: model coefficient exactly 2 cfg.H.
 
     Stops early when a zero half step makes gamma vanish (the model
     solution at z_k already solves the VI to inner_tol).
     """
-    if not H_nu > 0:
-        raise ConfigError("run_nu_ren needs H_nu > 0")
-    coeff = 2.0 * H_nu
-
     def half_step(cop, z, H, probe):
+        nu, coeff = cfg.nu, 2.0 * cfg.H
         base = build_linear_model(cop, z)
         cop.counters.subproblems += 1
         sol = solve_model_vi(RegularizedModel(base, nu, coeff), feasible, cfg.inner_tol)
@@ -275,24 +282,21 @@ def run_nu_ren(op: Operator, feasible: FeasibleSet, z0: Array, nu: float,
         return _Half(sol.point, cop.value(sol.point), step,
                      gamma_of(coeff, nu, step), coeff)
 
-    return _drive("nu-ren", op, feasible, z0, K, cfg, half_step,
-                  H_decl=op.holder_const)
+    return _drive("nu-ren", op, feasible, z0, cfg, half_step)
 
 
-def run_nu_aren(op: Operator, feasible: FeasibleSet, z0: Array, nu: float,
-                H0: float, K: int, cfg: SolverConfig) -> RunResult:
+def run_nu_aren(op: Operator, feasible: FeasibleSet, z0: Array,
+                cfg: SolverConfig) -> RunResult:
     """Adaptive run with the known-exponent criterion (power nu, e = 1+nu)."""
-    return _drive("nu-aren", op, feasible, z0, K, cfg,
-                  _search_step(feasible, SearchMode.holder(nu), cfg),
-                  H_decl=op.holder_const, H0=H0)
+    return _drive("nu-aren", op, feasible, z0, cfg,
+                  _search_step(feasible, SearchMode.holder(cfg.nu), cfg))
 
 
-def run_uren(op: Operator, feasible: FeasibleSet, z0: Array, H0: float,
-             K: int, eps: float, cfg: SolverConfig) -> RunResult:
-    """Universal run (power 1, e = 2) with gap early exit at eps."""
-    return _drive("uren", op, feasible, z0, K, cfg,
-                  _search_step(feasible, SearchMode.universal(), cfg, eps_exit=eps),
-                  H_decl=op.holder_const, H0=H0)
+def run_uren(op: Operator, feasible: FeasibleSet, z0: Array,
+             cfg: SolverConfig) -> RunResult:
+    """Universal run (power 1, e = 2) with gap early exit at cfg.eps."""
+    return _drive("uren", op, feasible, z0, cfg,
+                  _search_step(feasible, SearchMode.universal(), cfg, eps_exit=cfg.eps))
 
 
 def estimate_lipschitz(op: Operator, feasible: FeasibleSet, n_samples: int = 200,
@@ -311,17 +315,16 @@ def estimate_lipschitz(op: Operator, feasible: FeasibleSet, n_samples: int = 200
 
 
 def run_extragradient(op: Operator, feasible: FeasibleSet, z0: Array,
-                      step: Optional[float], K: int, cfg: SolverConfig) -> RunResult:
+                      cfg: SolverConfig) -> RunResult:
     """Two-projection extragradient baseline with plain averaging.
 
-    ``step=None`` uses 1/(2 L) with L estimated by sampling (seeded from
-    the config, so runs stay deterministic).
+    ``cfg.step=None`` uses 1/(2 L) with L estimated by sampling (seeded
+    from the config, so runs stay deterministic).
     """
+    step = cfg.step
     if step is None:
         L = estimate_lipschitz(op, feasible, seed=cfg.seed)
         step = 1.0 / (2.0 * L) if L > 0 else 1.0
-    if not step > 0:
-        raise ConfigError("extragradient needs a positive step")
 
     def half_step(cop, z, H, probe):
         half = feasible.project(z - step * cop.value(z))
@@ -332,5 +335,4 @@ def run_extragradient(op: Operator, feasible: FeasibleSet, z0: Array,
     def full_step(z, half):
         return feasible.project(z - step * half.f)
 
-    return _drive("extragradient", op, feasible, z0, K, cfg, half_step,
-                  H_decl=op.holder_const, full_step=full_step)
+    return _drive("extragradient", op, feasible, z0, cfg, half_step, full_step)

@@ -304,8 +304,7 @@ def _peg_model(model: RegularizedModel, feasible: FeasibleSet, tol: float,
 
 def solve_model_vi(model: RegularizedModel, feasible: FeasibleSet,
                    inner_tol: float, prefer: Optional[str] = None,
-                   peg_max_evals: int = _PEG_MAX_EVALS,
-                   psd_check: bool = True) -> SubproblemSolution:
+                   peg_max_evals: int = _PEG_MAX_EVALS) -> SubproblemSolution:
     """Solve the VI of the regularized model over the feasible set.
 
     Ball and whole-space constraints use the secular path and fall back to
@@ -314,7 +313,7 @@ def solve_model_vi(model: RegularizedModel, feasible: FeasibleSet,
     when the natural-map residual cannot be brought below ``inner_tol``.
     """
     J = model.base.jacobian
-    if psd_check and J.shape[0] <= 400:
+    if J.shape[0] <= 400:
         sym_min = float(np.linalg.eigvalsh(0.5 * (J + J.T))[0])
         if sym_min < -1e-8 * (1.0 + float(np.linalg.norm(J))):
             warnings.warn(f"model Jacobian has negative symmetric part "

@@ -9,7 +9,6 @@ on whole-space instances to localize degenerate roots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -23,15 +22,6 @@ from .solvers import RunResult, _drive, _search_step
 from .subproblem import SubproblemSolution, peg_callable, solve_model_vi
 
 _PEG_MAX_EVALS_TENSOR = 40_000
-
-
-def c_p_nu(p: int, nu: float) -> float:
-    """Taylor remainder constant (1/(p-2)!) * B(nu+1, p-1) = G(1+nu)/G(p+nu)."""
-    if p < 2:
-        raise ValueError(f"order must be >= 2, got {p}")
-    if not (0.0 <= nu <= 1.0):
-        raise ValueError(f"nu must lie in [0, 1], got {nu}")
-    return math.gamma(1.0 + nu) / math.gamma(p + nu)
 
 
 @dataclass(frozen=True)
@@ -126,14 +116,13 @@ def _newton_polish(model: TensorModel, u: Array, max_iter: int = 60) -> Array:
     return x if r_final <= best_res else best
 
 
-def solve_tensor_subproblem(model, feasible: FeasibleSet, inner_tol: float,
-                            allow_untested: bool = False) -> SubproblemSolution:
+def solve_tensor_subproblem(model, feasible: FeasibleSet,
+                            inner_tol: float) -> SubproblemSolution:
     """VI of the order-p model: p=2 delegates, p=3 runs extragradient."""
     if isinstance(model, RegularizedModel):
         return solve_model_vi(model, feasible, inner_tol)
-    if model.order > 3 and not allow_untested:
-        raise UnsupportedOrder(f"order {model.order} path is untested; "
-                               f"pass allow_untested=True to proceed")
+    if model.order > 3:
+        raise UnsupportedOrder(f"order {model.order} models are not supported")
     beta0 = 1.0 / (1.0 + float(np.linalg.norm(model.jacobian)))
     u, res, evals = peg_callable(model, feasible, model.anchor, inner_tol,
                                  _PEG_MAX_EVALS_TENSOR, beta0)
@@ -147,32 +136,27 @@ def solve_tensor_subproblem(model, feasible: FeasibleSet, inner_tol: float,
     return SubproblemSolution(point=u, residual=res, evals=evals, method="peg")
 
 
-def run_nu_aret(op: Operator, feasible: FeasibleSet, z0: Array, p: int,
-                nu: float, H0: float, K: int, cfg: SolverConfig) -> RunResult:
+def run_nu_aret(op: Operator, feasible: FeasibleSet, z0: Array,
+                cfg: SolverConfig) -> RunResult:
     """Adaptive order-p run: criterion exponent p-1+nu, gamma power p-2+nu."""
-    return _run_tensor(op, feasible, z0, "nu-aret", SearchMode.tensor(p, nu),
-                       p, H0, K, cfg, eps_exit=None)
+    return _run_tensor("nu-aret", op, feasible, z0, cfg,
+                       SearchMode.tensor(cfg.p, cfg.nu))
 
 
-def run_uret(op: Operator, feasible: FeasibleSet, z0: Array, p: int,
-             H0: float, K: int, eps: float, cfg: SolverConfig) -> RunResult:
+def run_uret(op: Operator, feasible: FeasibleSet, z0: Array,
+             cfg: SolverConfig) -> RunResult:
     """Universal order-p run: regularizer power p-1, criterion exponent p."""
-    return _run_tensor(op, feasible, z0, "uret", SearchMode.tensor_universal(p),
-                       p, H0, K, cfg, eps_exit=eps)
+    return _run_tensor("uret", op, feasible, z0, cfg,
+                       SearchMode.tensor_universal(cfg.p), eps_exit=cfg.eps)
 
 
-def _run_tensor(op, feasible, z0, method, mode, p, H0, K, cfg, eps_exit) -> RunResult:
-    if p < 2:
-        raise UnsupportedOrder(f"order must be >= 2, got {p}")
-    if p == 2:
-        return _drive(method, op, feasible, z0, K, cfg,
-                      _search_step(feasible, mode, cfg, eps_exit),
-                      H_decl=op.holder_const, H0=H0)
+def _run_tensor(method, op, feasible, z0, cfg, mode, eps_exit=None) -> RunResult:
+    """p=2 runs take the second-order trials; p=3 trials solve order-3 models."""
 
     def trials(cop, z):
         # anchor derivatives evaluated once per outer iteration and shared
         # across trials, matching the second-order path's accounting
-        proto = make_tensor_model(cop, z, p, mode.reg_power, 1.0)
+        proto = make_tensor_model(cop, z, cfg.p, mode.reg_power, 1.0)
 
         def solve_trial(H):
             cop.counters.subproblems += 1
@@ -184,8 +168,6 @@ def _run_tensor(op, feasible, z0, method, mode, p, H0, K, cfg, eps_exit) -> RunR
 
         return {"solve_trial": solve_trial, "base_eval": proto.taylor}
 
-    nu_decl = op.nu if op.nu is not None else cfg.nu
-    return _drive(method, op, feasible, z0, K, cfg,
-                  _search_step(feasible, mode, cfg, eps_exit, trials),
-                  H_decl=getattr(op, "holder_const_p3", None), H0=H0, p=p,
-                  c_pnu=c_p_nu(p, nu_decl))
+    return _drive(method, op, feasible, z0, cfg,
+                  _search_step(feasible, mode, cfg, eps_exit,
+                               trials if cfg.p >= 3 else None))

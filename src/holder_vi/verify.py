@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Ball, Box, WholeSpace, check_monotone, estimate_holder_constant
 from .errors import ConfigError
-from .metrics import c_nu_constant, gap_upper_bound, grid_gap_max
+from .metrics import c_nu_constant, c_p_nu, gap_upper_bound, grid_gap_max
 from .model import LinearModel, RegularizedModel
 from .problems import (
     ProblemInstance,
@@ -29,7 +29,7 @@ from .problems import (
 )
 from .solvers import SolverConfig, k_for_accuracy, run_nu_aren, run_uren
 from .subproblem import peg_callable, solve_model_vi
-from .tensor import c_p_nu, run_nu_aret, run_uret
+from .tensor import run_nu_aret, run_uret
 
 GROUPS = ("monotone", "remainder", "holder", "jacobian", "geometry",
           "subproblem", "reduction", "bounds", "gap")
@@ -242,32 +242,36 @@ def _check_subproblem(out: List[CheckResult]) -> None:
                            worst <= 1e-6, f"worst point gap {worst:.2e}"))
 
 
+def _run_difference(a, b) -> Optional[str]:
+    """The first output two runs disagree on (wall time aside), or None."""
+    if len(a.records) != len(b.records):
+        return f"{len(a.records)} vs {len(b.records)} iterations"
+    for x, y in zip(a.records, b.records):
+        for name, value in vars(x).items():
+            if name != "wall_ns" and not np.array_equal(value, getattr(y, name)):
+                return f"{name} differs at k={x.k}"
+    if a.final_gap != b.final_gap:
+        return "final gap differs"
+    return None
+
+
 def _check_reduction(out: List[CheckResult]) -> None:
     inst = make_power(5, 0.5, 1.0)
     z0 = default_start(inst)
     op, fs = inst.operator, inst.feasible
-
-    cfg_a = SolverConfig(method="nu-aren", nu=0.5, H0=0.7, K=10, eps=1e-6)
-    cfg_t = SolverConfig(method="nu-aret", nu=0.5, H0=0.7, K=10, eps=1e-6, p=2)
-    ra = run_nu_aren(op, fs, z0, 0.5, 0.7, 10, cfg_a)
-    rt = run_nu_aret(op, fs, z0, 2, 0.5, 0.7, 10, cfg_t)
-    dev = max(float(np.max(np.abs(x.half_step - y.half_step)))
-              for x, y in zip(ra.records, rt.records))
-    out.append(CheckResult("reduction", "adaptive p=2 tensor matches second-order",
-                           dev <= 1e-10 and len(ra.records) == len(rt.records),
-                           f"iterate deviation {dev:.2e} over {len(ra.records)} steps"))
-
-    cfg_u = SolverConfig(method="uren", nu=0.5, H0=0.7, K=10, eps=1e-30,
-                         inner_tol=1e-10)
-    cfg_v = SolverConfig(method="uret", nu=0.5, H0=0.7, K=10, eps=1e-30,
-                         inner_tol=1e-10, p=2)
-    ru = run_uren(op, fs, z0, 0.7, 10, 1e-30, cfg_u)
-    rv = run_uret(op, fs, z0, 2, 0.7, 10, 1e-30, cfg_v)
-    dev = max(float(np.max(np.abs(x.half_step - y.half_step)))
-              for x, y in zip(ru.records, rv.records))
-    out.append(CheckResult("reduction", "universal p=2 tensor matches second-order",
-                           dev <= 1e-10 and len(ru.records) == len(rv.records),
-                           f"iterate deviation {dev:.2e} over {len(ru.records)} steps"))
+    pairs = (
+        ("adaptive p=2 tensor matches second-order", run_nu_aren, run_nu_aret,
+         "nu-aret", SolverConfig(method="nu-aren", nu=0.5, H0=0.7, K=10, eps=1e-6)),
+        ("universal p=2 tensor matches second-order", run_uren, run_uret,
+         "uret", SolverConfig(method="uren", nu=0.5, H0=0.7, K=10, eps=1e-30,
+                              inner_tol=1e-10)),
+    )
+    for name, second, tensor, tensor_method, cfg in pairs:
+        a = second(op, fs, z0, cfg)
+        b = tensor(op, fs, z0, replace(cfg, method=tensor_method))
+        diff = _run_difference(a, b)
+        detail = diff or f"{len(a.records)} steps and final gap identical"
+        out.append(CheckResult("reduction", name, diff is None, detail))
 
 
 def _check_bounds(out: List[CheckResult], insts: List[ProblemInstance]) -> None:
@@ -283,7 +287,7 @@ def _check_bounds(out: List[CheckResult], insts: List[ProblemInstance]) -> None:
     z0 = default_start(inst)
     H0 = inst.declared_H / (1.0 + inst.declared_nu)
     cfg = SolverConfig(method="nu-aren", nu=inst.declared_nu, H0=H0, K=30, eps=1e-6)
-    res = run_nu_aren(inst.operator, inst.feasible, z0, inst.declared_nu, H0, 30, cfg)
+    res = run_nu_aren(inst.operator, inst.feasible, z0, cfg)
     hb = res.bound_checks["H_bound"]
     out.append(CheckResult("bounds", "adaptive coefficient stays below ceiling",
                            hb.status == "pass",
@@ -295,7 +299,7 @@ def _check_bounds(out: List[CheckResult], insts: List[ProblemInstance]) -> None:
 
     cfgu = SolverConfig(method="uren", nu=inst.declared_nu, H0=1.0, K=30,
                         eps=1e-30, inner_tol=1e-10)
-    resu = run_uren(inst.operator, inst.feasible, z0, 1.0, 30, 1e-30, cfgu)
+    resu = run_uren(inst.operator, inst.feasible, z0, cfgu)
     uc = resu.bound_checks["universal_cap"]
     out.append(CheckResult("bounds", "universal trial coefficients below cap",
                            uc.status in ("pass", "flag"),
@@ -314,8 +318,7 @@ def _check_gap(out: List[CheckResult], insts: List[ProblemInstance]) -> None:
         H = max(inst.declared_H, 0.5)
         cfg = SolverConfig(method="nu-aren", nu=inst.declared_nu, H0=H, K=12,
                            eps=1e-6)
-        res = run_nu_aren(inst.operator, inst.feasible, z0, inst.declared_nu,
-                          H, 12, cfg)
+        res = run_nu_aren(inst.operator, inst.feasible, z0, cfg)
         zbar = res.averaged_point
         gu = gap_upper_bound(inst.operator, inst.feasible, zbar).gap_upper
         gm = grid_gap_max(inst.operator, inst.feasible, zbar, n=200)

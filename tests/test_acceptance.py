@@ -79,8 +79,7 @@ def piecewise_ren_trace(piecewise):
     def one(K, inst=inst, z0=z0):
         cfg = SolverConfig(method="nu-ren", nu=0.0, H=inst.declared_H, K=K,
                            eps=1e-9)
-        res = run_nu_ren(inst.operator, inst.feasible, z0, 0.0,
-                         inst.declared_H, K, cfg)
+        res = run_nu_ren(inst.operator, inst.feasible, z0, cfg)
         return res.final_gap
 
     return _sweep(one)
@@ -100,8 +99,7 @@ def universal_runs(power_nu_half, power_nu1):
         def one(K, inst=inst, z0=z0):
             cfg = SolverConfig(method="uren", H0=1.0, K=K, eps=1e-30,
                                inner_tol=1e-10)
-            return run_uren(inst.operator, inst.feasible, z0, 1.0, K, 1e-30,
-                            cfg)
+            return run_uren(inst.operator, inst.feasible, z0, cfg)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             out[nu] = (inst, list(pool.map(one, GRID)))
@@ -117,7 +115,7 @@ def conforming_runs(power_nu_half, power_nu1, piecewise):
         H0 = inst.declared_H / (1.0 + nu)
         z0 = default_start(inst)
         cfg = SolverConfig(method="nu-aren", nu=nu, H0=H0, K=48, eps=1e-9)
-        res = run_nu_aren(inst.operator, inst.feasible, z0, nu, H0, 48, cfg)
+        res = run_nu_aren(inst.operator, inst.feasible, z0, cfg)
         runs.append((inst, H0, res))
     return runs
 
@@ -133,7 +131,7 @@ def test_rate_fixed_extra_newton(power_nu_half, power_nu1, piecewise_ren_trace):
 
         def one(K, inst=inst, z0=z0, H=H, nu=nu):
             cfg = SolverConfig(method="nu-ren", nu=nu, H=H, K=K, eps=1e-9)
-            res = run_nu_ren(inst.operator, inst.feasible, z0, nu, H, K, cfg)
+            res = run_nu_ren(inst.operator, inst.feasible, z0, cfg)
             return res.final_gap
 
         slope = _slope(_sweep(one))
@@ -157,8 +155,7 @@ def test_iteration_recipe_reaches_accuracy(power_nu1):
         K = k_for_accuracy(1.0, inst.declared_H, inst.diameter, eps)
         cfg = SolverConfig(method="nu-ren", nu=1.0, H=inst.declared_H, K=K,
                            eps=eps)
-        res = run_nu_ren(inst.operator, inst.feasible, z0, 1.0,
-                         inst.declared_H, K, cfg)
+        res = run_nu_ren(inst.operator, inst.feasible, z0, cfg)
         g = gap_upper_bound(inst.operator, inst.feasible,
                             res.averaged_point).gap_upper
         ok = ok and g <= eps
@@ -233,7 +230,7 @@ def test_early_exit_certificate(power_nu1, bilinear):
     inst = power_nu1
     z0 = default_start(inst)
     cfg = SolverConfig(method="uren", H0=1.0, K=200, eps=1e-4)
-    res = run_uren(inst.operator, inst.feasible, z0, 1.0, 200, 1e-4, cfg)
+    res = run_uren(inst.operator, inst.feasible, z0, cfg)
     exited = res.early_exit is not None
     if exited:
         g = gap_upper_bound(inst.operator, inst.feasible,
@@ -246,7 +243,7 @@ def test_early_exit_certificate(power_nu1, bilinear):
     cfg3 = SolverConfig(method="uret", p=3, H0=1.0, K=10, eps=1e-6,
                         inner_tol=1e-10)
     res3 = run_uret(bilinear.operator, bilinear.feasible,
-                    bilinear.solution.copy(), 3, 1.0, 10, 1e-6, cfg3)
+                    bilinear.solution.copy(), cfg3)
     exited3 = res3.early_exit is not None and res3.early_exit.k == 0
     if exited3:
         g3 = gap_upper_bound(bilinear.operator, bilinear.feasible,
@@ -320,8 +317,8 @@ def test_order_two_tensor_reduction(power_nu_half):
 
     cfg_a = SolverConfig(method="nu-aren", nu=0.5, H0=H0, K=20, eps=1e-9)
     cfg_t = SolverConfig(method="nu-aret", nu=0.5, H0=H0, K=20, eps=1e-9, p=2)
-    ra = run_nu_aren(op, fs, z0, 0.5, H0, 20, cfg_a)
-    rt = run_nu_aret(op, fs, z0, 2, 0.5, H0, 20, cfg_t)
+    ra = run_nu_aren(op, fs, z0, cfg_a)
+    rt = run_nu_aret(op, fs, z0, cfg_t)
     same_len = len(ra.records) == len(rt.records)
     dev_a = max(max(float(np.max(np.abs(x.half_step - y.half_step))),
                     float(np.max(np.abs(x.full_step - y.full_step))))
@@ -331,8 +328,8 @@ def test_order_two_tensor_reduction(power_nu_half):
                          inner_tol=1e-10)
     cfg_v = SolverConfig(method="uret", H0=H0, K=20, eps=1e-30,
                          inner_tol=1e-10, p=2)
-    ru = run_uren(op, fs, z0, H0, 20, 1e-30, cfg_u)
-    rv = run_uret(op, fs, z0, 2, H0, 20, 1e-30, cfg_v)
+    ru = run_uren(op, fs, z0, cfg_u)
+    rv = run_uret(op, fs, z0, cfg_v)
     same_len_u = len(ru.records) == len(rv.records)
     dev_u = max(max(float(np.max(np.abs(x.half_step - y.half_step))),
                     float(np.max(np.abs(x.full_step - y.full_step))))
@@ -350,8 +347,7 @@ def test_baseline_separation(bilinear, quartic):
 
     def eg_one(K, z0b=z0b):
         cfg = SolverConfig(method="extragradient", K=K, eps=1e-9)
-        res = run_extragradient(bilinear.operator, bilinear.feasible, z0b,
-                                None, K, cfg)
+        res = run_extragradient(bilinear.operator, bilinear.feasible, z0b, cfg)
         return res.final_gap
 
     eg_slope = _slope(_sweep(eg_one))
@@ -361,8 +357,7 @@ def test_baseline_separation(bilinear, quartic):
 
     def ren_one(K, z0q=z0q, Hq=Hq):
         cfg = SolverConfig(method="nu-ren", nu=1.0, H=Hq, K=K, eps=1e-9)
-        res = run_nu_ren(quartic.operator, quartic.feasible, z0q, 1.0, Hq, K,
-                         cfg)
+        res = run_nu_ren(quartic.operator, quartic.feasible, z0q, cfg)
         return res.final_gap
 
     ren_slope = _slope(_sweep(ren_one))
@@ -410,8 +405,7 @@ def test_grid_never_beats_certificate():
         H = max(inst.declared_H, 0.5)
         cfg = SolverConfig(method="nu-aren", nu=inst.declared_nu, H0=H, K=12,
                            eps=1e-6)
-        res = run_nu_aren(inst.operator, inst.feasible, z0, inst.declared_nu,
-                          H, 12, cfg)
+        res = run_nu_aren(inst.operator, inst.feasible, z0, cfg)
         zbar = res.averaged_point
         gu = gap_upper_bound(inst.operator, inst.feasible, zbar).gap_upper
         gm = grid_gap_max(inst.operator, inst.feasible, zbar, n=200)

@@ -146,6 +146,22 @@ def test_order_on_second_order_method_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_order_above_three_is_config_error(tmp_path, capsys):
+    rc = main(["solve", "--problem", "quartic:d=4", "--method", "nu-aret",
+               "--p", "4", "--H0", "1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "p must be 2 or 3" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_order_three_without_derivative_oracle_is_config_error(tmp_path, capsys):
+    rc = main(["solve", "--problem", "power:d=5", "--method", "nu-aret",
+               "--p", "3", "--H0", "1", "--K", "2", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "no derivative oracle" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_missing_method_is_config_error(tmp_path):
     assert main(["solve", "--problem", "power:d=3", "--out", str(tmp_path)]) == 3
 

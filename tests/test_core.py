@@ -1,5 +1,7 @@
 """Core types: point validation, operators, feasible sets, config."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,16 @@ def test_config_rejects_bad_scalars():
         SolverConfig(method="extragradient", step=-1.0)
     with pytest.raises(ConfigError):
         SolverConfig(method="extragradient", inner_tol=0.0)
+    with pytest.raises(ConfigError):
+        SolverConfig(method="nu-ren", H=0.0)
+    with pytest.raises(ConfigError):
+        SolverConfig(method="uren", H0=0.0)
+
+
+def test_config_is_frozen():
+    cfg = SolverConfig(method="nu-aren", H0=1.0)
+    with pytest.raises(FrozenInstanceError):
+        cfg.H0 = 2.0
 
 
 def test_config_method_requirements():

@@ -204,6 +204,6 @@ def test_universal_cap_verdict_paths():
     assert early["universal_cap"].status == NOT_APPLICABLE
 
     lipschitz_p3 = bound_verdicts(recs, "uret", 1.0, 2.0, 2.0, 1.0, 1e-6,
-                                  p=3, c_pnu=1.0 / 6.0)
+                                  p=3)
     assert lipschitz_p3["universal_cap"].status == NOT_APPLICABLE
     assert "diverges" in lipschitz_p3["universal_cap"].note

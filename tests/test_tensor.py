@@ -8,13 +8,13 @@ import pytest
 from scipy.integrate import quad
 
 from holder_vi.core import Operator, SolverConfig, WholeSpace
-from holder_vi.errors import UnsupportedOrder
+from holder_vi.errors import ConfigError, UnsupportedOrder
+from holder_vi.metrics import bound_verdicts, c_p_nu
 from holder_vi.model import RegularizedModel
 from holder_vi.problems import default_start, make_power
 from holder_vi.solvers import run_nu_aren, run_uren
 from holder_vi.tensor import (
     TensorModel,
-    c_p_nu,
     make_tensor_model,
     run_nu_aret,
     run_uret,
@@ -165,14 +165,14 @@ def test_order_two_subproblem_delegates(power_nu1):
     np.testing.assert_allclose(a.point, b.point, atol=1e-14)
 
 
-def test_order_above_three_needs_opt_in():
+def test_order_above_three_is_unsupported():
     m = TensorModel(anchor=np.zeros(2), order=4, value=np.array([1.0, 0.0]),
                     jacobian=np.eye(2), deriv=lambda o, z, dirs: np.zeros(2),
                     power=3.0, H=1.0)
-    with pytest.raises(UnsupportedOrder, match="allow_untested"):
+    with pytest.raises(UnsupportedOrder):
         solve_tensor_subproblem(m, WholeSpace(2), 1e-8)
-    sol = solve_tensor_subproblem(m, WholeSpace(2), 1e-8, allow_untested=True)
-    assert sol.residual <= 1e-8
+    with pytest.raises(ConfigError, match="p must be 2 or 3"):
+        SolverConfig(method="nu-aret", H0=1.0, p=4)
 
 
 # ------------------------------------------------------------ outer loops
@@ -180,7 +180,7 @@ def test_order_above_three_needs_opt_in():
 def test_affine_operator_never_doubles_at_order_three(bilinear):
     cfg = SolverConfig(method="nu-aret", nu=1.0, H0=1.0, K=8, p=3)
     run = run_nu_aret(bilinear.operator, bilinear.feasible,
-                      default_start(bilinear), 3, 1.0, 1.0, 8, cfg)
+                      default_start(bilinear), cfg)
     assert [r.i_k for r in run.records] == [0] * 8
     assert run.final_gap < 1e-8
 
@@ -188,7 +188,7 @@ def test_affine_operator_never_doubles_at_order_three(bilinear):
 def test_order_three_oracle_accounting(bilinear):
     cfg = SolverConfig(method="nu-aret", nu=1.0, H0=1.0, K=5, p=3)
     run = run_nu_aret(bilinear.operator, bilinear.feasible,
-                      default_start(bilinear), 3, 1.0, 1.0, 5, cfg)
+                      default_start(bilinear), cfg)
     trials = sum(r.i_k + 1 for r in run.records)
     assert run.counters.f_evals == len(run.records) + trials
     assert run.counters.j_evals == len(run.records)
@@ -204,16 +204,14 @@ def test_order_three_bills_every_second_derivative(quartic):
 
     op = replace(quartic.operator, deriv_fn=counted)
     cfg = SolverConfig(method="nu-aret", nu=1.0, H0=1.0, K=2, p=3)
-    run = run_nu_aret(op, quartic.feasible, default_start(quartic), 3, 1.0,
-                      1.0, 2, cfg)
+    run = run_nu_aret(op, quartic.feasible, default_start(quartic), cfg)
     assert len(calls) > 0
     assert run.counters.d_evals == len(calls)
 
 
 def test_adaptive_order_three_h_bound_on_quartic(quartic):
     cfg = SolverConfig(method="nu-aret", nu=1.0, H0=1.0, K=8, p=3)
-    run = run_nu_aret(quartic.operator, quartic.feasible,
-                      default_start(quartic), 3, 1.0, 1.0, 8, cfg)
+    run = run_nu_aret(quartic.operator, quartic.feasible, default_start(quartic), cfg)
     v = run.bound_checks["H_bound"]
     assert v.ok
     # ceiling 2 c_{3,1} H_3 = 2 * (1/6) * 6
@@ -235,20 +233,19 @@ def test_order_two_reduction_matches_second_order(power_nu_half):
     op, fs = power_nu_half.operator, power_nu_half.feasible
     cfg_a = SolverConfig(method="nu-aren", nu=0.5, H0=0.7, K=8)
     cfg_t = SolverConfig(method="nu-aret", nu=0.5, H0=0.7, K=8, p=2)
-    assert_same_run(run_nu_aren(op, fs, z0, 0.5, 0.7, 8, cfg_a),
-                    run_nu_aret(op, fs, z0, 2, 0.5, 0.7, 8, cfg_t))
+    assert_same_run(run_nu_aren(op, fs, z0, cfg_a),
+                    run_nu_aret(op, fs, z0, cfg_t))
 
     cfg_u = SolverConfig(method="uren", H0=0.7, K=8, eps=1e-30, inner_tol=1e-10)
     cfg_v = SolverConfig(method="uret", H0=0.7, K=8, eps=1e-30,
                          inner_tol=1e-10, p=2)
-    assert_same_run(run_uren(op, fs, z0, 0.7, 8, 1e-30, cfg_u),
-                    run_uret(op, fs, z0, 2, 0.7, 8, 1e-30, cfg_v))
+    assert_same_run(run_uren(op, fs, z0, cfg_u),
+                    run_uret(op, fs, z0, cfg_v))
 
 
 def test_universal_exits_immediately_from_solution(bilinear):
     cfg = SolverConfig(method="uret", H0=1.0, K=5, eps=1e-6, p=3)
-    run = run_uret(bilinear.operator, bilinear.feasible, bilinear.solution,
-                   3, 1.0, 5, 1e-6, cfg)
+    run = run_uret(bilinear.operator, bilinear.feasible, bilinear.solution, cfg)
     assert run.early_exit is not None
     assert run.early_exit.k == 0
     assert run.final_gap <= 1e-6
@@ -256,20 +253,18 @@ def test_universal_exits_immediately_from_solution(bilinear):
 
 def test_universal_cap_bound_eps_free_at_lipschitz(power_nu1):
     # p=2 universal on a nu=1 problem: the cap is declared_H/2 whatever eps
-    z0 = default_start(power_nu1)
-    caps = []
-    for eps in (1e-3, 1e-9):
-        cfg = SolverConfig(method="uret", H0=1.0, K=5, eps=eps,
-                           inner_tol=1e-10, p=2)
-        run = run_uret(power_nu1.operator, power_nu1.feasible, z0, 2, 1.0, 5,
-                       1e-30, cfg)
-        caps.append(run.bound_checks["universal_cap"].bound)
+    cfg = SolverConfig(method="uret", H0=1.0, K=5, eps=1e-30, inner_tol=1e-10,
+                       p=2)
+    run = run_uret(power_nu1.operator, power_nu1.feasible,
+                   default_start(power_nu1), cfg)
+    assert run.early_exit is None
+    caps = [bound_verdicts(run.records, "uret", 1.0, power_nu1.declared_H,
+                           power_nu1.diameter, cfg.H0, eps, p=2)
+            ["universal_cap"].bound for eps in (1e-3, 1e-9)]
     assert caps[0] == pytest.approx(power_nu1.declared_H / 2.0, rel=1e-12)
     assert caps[0] == caps[1]
 
 
-def test_rejects_order_below_two(bilinear):
-    cfg = SolverConfig(method="nu-aret", nu=1.0, H0=1.0, K=3, p=2)
-    with pytest.raises(UnsupportedOrder):
-        run_nu_aret(bilinear.operator, bilinear.feasible,
-                    default_start(bilinear), 1, 1.0, 1.0, 3, cfg)
+def test_rejects_order_below_two():
+    with pytest.raises(ConfigError, match="p must be 2 or 3"):
+        SolverConfig(method="nu-aret", nu=1.0, H0=1.0, K=3, p=1)
