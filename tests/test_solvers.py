@@ -187,11 +187,20 @@ def test_run_config_describes_the_run(power_nu1):
     assert first.H_k / 2.0 ** first.i_k == cfg.H0
 
 
-def test_run_rejects_another_methods_config(power_nu1):
+def test_run_parameter_validation(power_nu1):
+    # A run's parameters all come from its config: bad scalars stop at the
+    # config, and a config made for another method is refused by the run.
+    z0 = default_start(power_nu1)
+    with pytest.raises(ConfigError):
+        run_nu_ren(power_nu1.operator, power_nu1.feasible, z0,
+                   SolverConfig(method="nu-ren", nu=1.0, H=0.0, K=3))
+    with pytest.raises(ConfigError):
+        run_uren(power_nu1.operator, power_nu1.feasible, z0,
+                 SolverConfig(method="uren", H0=0.0, K=3))
     cfg = SolverConfig(method="nu-aren", nu=1.0, H0=1.0, K=3)
     for run in (run_nu_ren, run_uren, run_extragradient):
         with pytest.raises(ConfigError, match="nu-aren config"):
-            run(power_nu1.operator, power_nu1.feasible, default_start(power_nu1), cfg)
+            run(power_nu1.operator, power_nu1.feasible, z0, cfg)
 
 
 # ------------------------------------------------------------- gap probing
