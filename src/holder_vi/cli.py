@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -455,7 +456,10 @@ def _add_run_flags(sp) -> None:
     sp.add_argument("--out", help="output directory (default '.')")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call (its defaults read no environment)."""
     parser = _Parser(prog="holder-vi",
                      description="Extra-Newton solvers for monotone variational "
                                  "inequalities, with rate sweeps and self-checks.")

@@ -2,9 +2,10 @@
 
 Everything downstream works with plain float64 numpy arrays.  An
 ``Operator`` bundles the map F, its Jacobian and (optionally) higher
-directional derivatives; a ``FeasibleSet`` exposes exactly the two
-geometric oracles the solvers need, a Euclidean projection and a linear
-support maximizer.
+directional derivatives; a ``FeasibleSet`` exposes the geometric oracles
+the solvers need: a Euclidean projection, a linear support maximizer and
+the Newton matrix of the normal map built from the projection's
+generalized Jacobian.
 """
 
 from __future__ import annotations
@@ -117,6 +118,13 @@ class FeasibleSet:
         """n points from the set, rows of an (n, dim) array."""
         raise NotImplementedError
 
+    def normal_map_jacobian(self, x: Array, JM: Array) -> Array:
+        """JM JP + I - JP for an element JP of the generalized Jacobian of
+        the projection at x: the Newton matrix of the normal map
+        M(P(x)) + x - P(x), given the model Jacobian JM at P(x).  May
+        return JM itself."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class WholeSpace(FeasibleSet):
@@ -136,6 +144,9 @@ class WholeSpace(FeasibleSet):
 
     def sample(self, rng: np.random.Generator, n: int) -> Array:
         return rng.standard_normal((n, self.dim))
+
+    def normal_map_jacobian(self, x: Array, JM: Array) -> Array:
+        return JM
 
 
 @dataclass(frozen=True)
@@ -173,6 +184,19 @@ class Ball(FeasibleSet):
         r = self.radius * rng.random(n) ** (1.0 / self.dim)
         return self.center + u * r[:, None]
 
+    def normal_map_jacobian(self, x: Array, JM: Array) -> Array:
+        # outside: JP = s (I - w w^T) with s = r/|x - c| and unit w, so
+        # JM JP + I - JP = s JM + (1 - s) I + s (w - JM w) w^T
+        w = x - self.center
+        n = float(np.linalg.norm(w))
+        if n <= self.radius:
+            return JM
+        s = self.radius / n
+        w /= n
+        out = s * JM + np.outer(s * (w - JM @ w), w)
+        out[np.diag_indices(self.dim)] += 1.0 - s
+        return out
+
 
 @dataclass(frozen=True)
 class Box(FeasibleSet):
@@ -200,6 +224,14 @@ class Box(FeasibleSet):
     def sample(self, rng: np.random.Generator, n: int) -> Array:
         u = rng.random((n, self.dim))
         return self.lower + u * (self.upper - self.lower)
+
+    def normal_map_jacobian(self, x: Array, JM: Array) -> Array:
+        # JP is the 0/1 diagonal of the coordinates strictly inside
+        inside = (x > self.lower) & (x < self.upper)
+        out = JM * inside
+        clamped = np.flatnonzero(~inside)
+        out[clamped, clamped] += 1.0
+        return out
 
 
 @dataclass(frozen=True)

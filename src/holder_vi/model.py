@@ -3,7 +3,8 @@
 ``LinearModel`` is the Taylor linearization F(z) + J(z)(z'-z).
 ``RegularizedModel`` adds the radial term H * |z'-z|^power * (z'-z); with
 power 0 the coefficient is constant (0^0 = 1, so the step-zero value is
-still well defined).
+still well defined).  ``jacobian_at`` is the model's exact Jacobian, which
+the semismooth Newton inner solver needs.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ class RegularizedModel:
         d = z - self.base.anchor
         nd = float(np.linalg.norm(d))
         return self.base(z) + (self.H * nd ** self.power) * d
+
+    def jacobian_at(self, z: Array) -> Array:
+        """J + H (|d|^power I + power |d|^(power-2) d d^T), with 0^0 = 1."""
+        d = z - self.base.anchor
+        nd = float(np.linalg.norm(d))
+        out = self.base.jacobian + (self.H * nd ** self.power) * np.eye(d.shape[0])
+        if nd > 0.0 and self.power != 0.0:
+            out += (self.H * self.power * nd ** (self.power - 2.0)) * np.outer(d, d)
+        return out
 
 
 def build_linear_model(op: Operator, z: Array) -> LinearModel:

@@ -4,10 +4,11 @@ Whole-space and ball constraints go through a secular path: the model
 stationarity condition (J + lam I) d = -c with lam = H*|d|^power reduces
 to a scalar equation in lam, solved by a damped fixed point with a
 bisection fallback.  A ball constraint adds a boundary multiplier t and a
-nested scalar solve.  Boxes (and any secular breakdown) use a projected
-extragradient iteration on the frozen model, the same loop that order-3
-models run on; accuracy is always certified by the natural-map residual
-|u - P(u - M(u))|.
+nested scalar solve.  Boxes, secular breakdowns and order-3 models (on
+every set) run semismooth Newton on Robinson's normal map; when Newton's
+answer is not certified, a projected extragradient (PEG) loop is the
+fallback, as it is for models with a negative symmetric part.  Accuracy
+is always certified by the natural-map residual |u - P(u - M(u))|.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .model import RegularizedModel
 _BUDGET_UNCONSTRAINED = 200
 _BUDGET_BOUNDARY = 600
 _PEG_MAX_EVALS = 200_000
+_NEWTON_MAX_STEPS = 50
+# Armijo: accept x + a s, a = 1, 1/2, 1/4, ..., once |r| drops by the
+# factor 1 - _ARMIJO a; Newton has stalled when _ARMIJO_TRIALS fail
+_ARMIJO = 1e-4
+_ARMIJO_TRIALS = 21
 
 
 class _SecularBreakdown(Exception):
@@ -229,6 +235,67 @@ def _secular_ball(model: RegularizedModel, feasible: Ball, tol: float) -> Subpro
     raise _SecularBreakdown("boundary bisection stalled above tolerance")
 
 
+def newton_normal_map(model, feasible: FeasibleSet,
+                      tol: float) -> Optional[SubproblemSolution]:
+    """Semismooth Newton on Robinson's normal map of the model VI.
+
+    Works on any model with ``__call__`` and ``jacobian_at``.  With
+    u = P(x), the normal map r(x) = M(u) + x - u vanishes exactly when u
+    solves the VI; the Newton matrix is JM(u) JP(x) + I - JP(x), and steps
+    are backtracked (Armijo) on |r|.  The start is x0 = anchor - M(anchor).
+    Newton stops once |r| <= tol right after a step that cut |r| at least
+    tenfold (so slowly converging degenerate roots keep refining), or when
+    the backtracking stalls.  Since P is nonexpansive, |r| bounds the
+    natural residual at u, which certifies the answer.  Returns None,
+    after a RuntimeWarning, when that residual stays above ``tol``; the
+    caller then falls back to projected extragradient.  ``evals`` counts
+    Newton steps.
+    """
+
+    def normal_map(x):
+        u = feasible.project(x)
+        r = model(u) + x - u
+        return u, r, float(np.linalg.norm(r))
+
+    anchor = model.anchor
+    x = anchor - model(anchor)
+    u, r, rn = normal_map(x)
+    steps = 0
+    reason = "normal-map residual met the tolerance"
+    while steps < _NEWTON_MAX_STEPS:
+        G = feasible.normal_map_jacobian(x, model.jacobian_at(u))
+        try:
+            s = np.linalg.solve(G, -r)
+        except np.linalg.LinAlgError:
+            reason = "singular Newton matrix"
+            break
+        steps += 1
+        a = 1.0
+        for _ in range(_ARMIJO_TRIALS):
+            x_new = x + a * s
+            u_new, r_new, rn_new = normal_map(x_new)
+            if rn_new <= (1.0 - _ARMIJO * a) * rn:
+                break
+            a *= 0.5
+        else:
+            reason = "backtracking stalled"
+            break
+        cut = rn_new <= 0.1 * rn
+        x, u, r, rn = x_new, u_new, r_new, rn_new
+        if cut and rn <= tol:
+            break
+    else:
+        reason = f"{_NEWTON_MAX_STEPS} steps"
+    res = natural_residual(model, feasible, u)
+    if res <= tol:
+        return SubproblemSolution(point=u, residual=res, evals=steps,
+                                  method="newton")
+    warnings.warn(f"semismooth Newton stopped ({reason}) at residual {res:g} > "
+                  f"{tol:g}; falling back to projected extragradient",
+                  RuntimeWarning)
+    return None
+
+
 def _beta0_for(model: RegularizedModel, feasible: FeasibleSet) -> float:
     anchor, H, power = model.anchor, model.H, model.power
     if isinstance(feasible, Ball):
@@ -307,10 +374,12 @@ def solve_model_vi(model: RegularizedModel, feasible: FeasibleSet,
                    peg_max_evals: int = _PEG_MAX_EVALS) -> SubproblemSolution:
     """Solve the VI of the regularized model over the feasible set.
 
-    Ball and whole-space constraints use the secular path and fall back to
-    projected extragradient on breakdown; boxes always use the latter.
-    ``prefer='peg'`` forces the fallback path.  Raises SubproblemFailure
-    when the natural-map residual cannot be brought below ``inner_tol``.
+    Ball and whole-space constraints use the secular path; boxes, and
+    secular breakdowns, use semismooth Newton.  Projected extragradient
+    is the fallback when Newton's answer is not certified, and the only
+    path for a model Jacobian with a negative symmetric part or under
+    ``prefer='peg'``.  Raises SubproblemFailure when the natural-map
+    residual cannot be brought below ``inner_tol``.
     """
     J = model.base.jacobian
     if J.shape[0] <= 400:
@@ -320,12 +389,16 @@ def solve_model_vi(model: RegularizedModel, feasible: FeasibleSet,
                           f"({sym_min:g}); using projected extragradient",
                           RuntimeWarning)
             prefer = "peg"
-    if prefer != "peg" and isinstance(feasible, (WholeSpace, Ball)):
-        try:
-            if isinstance(feasible, WholeSpace):
-                return _secular_whole(model, inner_tol)
-            return _secular_ball(model, feasible, inner_tol)
-        except _SecularBreakdown as exc:
-            warnings.warn(f"secular path abandoned ({exc}); "
-                          f"falling back to projected extragradient", RuntimeWarning)
+    if prefer != "peg":
+        if isinstance(feasible, (WholeSpace, Ball)):
+            try:
+                if isinstance(feasible, WholeSpace):
+                    return _secular_whole(model, inner_tol)
+                return _secular_ball(model, feasible, inner_tol)
+            except _SecularBreakdown as exc:
+                warnings.warn(f"secular path abandoned ({exc}); "
+                              f"falling back to semismooth Newton", RuntimeWarning)
+        sol = newton_normal_map(model, feasible, inner_tol)
+        if sol is not None:
+            return sol
     return _peg_model(model, feasible, inner_tol, peg_max_evals)

@@ -2,9 +2,10 @@
 
 The order-p model keeps Taylor terms up to degree p-1 and adds the radial
 regularizer H |d|^power d.  p=2 runs are the second-order line-search
-runs under the tensor method's name; p=3 models are solved by
-projected extragradient on the model closure, with a damped-Newton polish
-on whole-space instances to localize degenerate roots.
+runs under the tensor method's name; p=3 models are solved by semismooth
+Newton on the normal map (``subproblem.newton_normal_map``), with
+projected extragradient on the model closure as the fallback when
+Newton's answer is not certified.
 """
 
 from __future__ import annotations
@@ -14,12 +15,17 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Array, FeasibleSet, Operator, SolverConfig, WholeSpace
+from .core import Array, FeasibleSet, Operator, SolverConfig
 from .errors import SubproblemFailure, UnsupportedOrder
 from .linesearch import SearchMode, TrialRejected
 from .model import LinearModel, RegularizedModel
 from .solvers import RunResult, _drive, _search_step
-from .subproblem import SubproblemSolution, peg_callable, solve_model_vi
+from .subproblem import (
+    SubproblemSolution,
+    newton_normal_map,
+    peg_callable,
+    solve_model_vi,
+)
 
 _PEG_MAX_EVALS_TENSOR = 40_000
 
@@ -79,56 +85,20 @@ def make_tensor_model(op: Operator, z: Array, p: int, power: float, H: float):
                        deriv=op.deriv_apply, power=power, H=H)
 
 
-def _newton_polish(model: TensorModel, u: Array, max_iter: int = 60) -> Array:
-    """Damped Newton on the model equation, whole-space only.
-
-    The extragradient residual floor localizes degenerate (multiple) roots
-    poorly; Newton contracts linearly even there.
-    """
-    best = u.copy()
-    best_res = float(np.linalg.norm(model(best)))
-    x = u.copy()
-    for _ in range(max_iter):
-        r = model(x)
-        rn = float(np.linalg.norm(r))
-        if rn < best_res:
-            best, best_res = x.copy(), rn
-        Jm = model.jacobian_at(x)
-        ridge = 1e-14 * (1.0 + float(np.linalg.norm(Jm)))
-        try:
-            step = np.linalg.solve(Jm + ridge * np.eye(x.shape[0]), -r)
-        except np.linalg.LinAlgError:
-            break
-        alpha = 1.0
-        moved = False
-        while alpha > 1e-8:
-            x_try = x + alpha * step
-            if float(np.linalg.norm(model(x_try))) <= (1.0 - 0.25 * alpha) * rn:
-                x = x_try
-                moved = True
-                break
-            alpha *= 0.5
-        if not moved:
-            break
-        if float(np.linalg.norm(alpha * step)) <= 1e-16 * (1.0 + float(np.linalg.norm(x))):
-            break
-    r_final = float(np.linalg.norm(model(x)))
-    return x if r_final <= best_res else best
-
-
 def solve_tensor_subproblem(model, feasible: FeasibleSet,
                             inner_tol: float) -> SubproblemSolution:
-    """VI of the order-p model: p=2 delegates, p=3 runs extragradient."""
+    """VI of the order-p model: p=2 delegates; p=3 runs semismooth Newton,
+    with projected extragradient when Newton's answer is not certified."""
     if isinstance(model, RegularizedModel):
         return solve_model_vi(model, feasible, inner_tol)
     if model.order > 3:
         raise UnsupportedOrder(f"order {model.order} models are not supported")
+    sol = newton_normal_map(model, feasible, inner_tol)
+    if sol is not None:
+        return sol
     beta0 = 1.0 / (1.0 + float(np.linalg.norm(model.jacobian)))
     u, res, evals = peg_callable(model, feasible, model.anchor, inner_tol,
                                  _PEG_MAX_EVALS_TENSOR, beta0)
-    if isinstance(feasible, WholeSpace) and model.order == 3:
-        u = _newton_polish(model, u)
-        res = float(np.linalg.norm(model(u)))
     if res > inner_tol:
         raise SubproblemFailure(
             f"tensor model solve stopped at residual {res:g} > {inner_tol:g} "

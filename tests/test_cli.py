@@ -1,10 +1,11 @@
 """End-to-end CLI: solve/rates/verify, config files, exit codes."""
 
 import json
+import time
 
 import pytest
 
-from holder_vi.cli import main, parse_echo
+from holder_vi.cli import build_parser, main, parse_echo
 
 TRACE_HEADER = ("k,i_k,H_k,gamma_k,step_norm,F_evals_cum,J_evals_cum,"
                 "subproblems_cum,gap_point,gap_avg,wall_ns")
@@ -193,6 +194,32 @@ def test_usage_errors_exit_with_config_code():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 3
+
+
+def test_parser_is_shared_and_survives_a_usage_error(tmp_path):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--K", "not-an-int"])
+    assert exc.value.code == 3
+    assert main(solve_args(tmp_path)) == 0
+    assert (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "piecewise:d=5", "--method", "nu-aren", "--H0", "auto",
+     "--K", "60"],
+    ["--problem", "quartic:d=4", "--method", "nu-aret", "--p", "3",
+     "--H0", "auto", "--K", "10"],
+], ids=["piecewise-box", "quartic-order3"])
+def test_tight_accuracy_certifies_promptly(tmp_path, argv):
+    # eps = 1e-12 asks for inner residuals of 1e-16, at the float64 floor
+    t0 = time.perf_counter()
+    rc = main(["solve", *argv, "--eps", "1e-12", "--out", str(tmp_path)])
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    assert elapsed <= 2.0
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    assert all(v["status"] != "fail" for v in payload["bound_checks"].values())
 
 
 # -------------------------------------------------------------------- rates

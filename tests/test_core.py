@@ -169,6 +169,32 @@ def test_support_dominates_interior_points(g, z):
     assert g @ bx.support_argmax(g) >= g @ z - 1e-12
 
 
+NORMAL_MAP_POINTS = {
+    # box coordinates 0 and 2 inside, 1 below and 3 above, all 0.2 from an edge
+    "box": (Box(4, -np.ones(4), np.ones(4)), np.array([0.3, -1.5, -0.8, 1.2])),
+    "ball-inside": (Ball(2, np.array([0.5, -0.2]), 1.5), np.array([0.9, 0.4])),
+    "ball-outside": (Ball(2, np.array([0.5, -0.2]), 1.5), np.array([-1.5, 1.6])),
+    "whole": (WholeSpace(3), np.array([0.3, -2.0, 5.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NORMAL_MAP_POINTS))
+def test_normal_map_jacobian_matches_finite_difference(rng, case):
+    # away from kinks the normal map x -> JM P(x) + q + x - P(x) of an
+    # affine model is differentiable, with Jacobian JM JP + I - JP
+    fs, x = NORMAL_MAP_POINTS[case]
+    d, h = x.shape[0], 1e-7
+    JM, q = rng.standard_normal((d, d)), rng.standard_normal(d)
+
+    def r(y):
+        return JM @ fs.project(y) + q + y - fs.project(y)
+
+    fd = np.stack([(r(x + h * e) - r(x - h * e)) / (2.0 * h) for e in np.eye(d)],
+                  axis=1)
+    np.testing.assert_allclose(fs.normal_map_jacobian(x.copy(), JM.copy()), fd,
+                               atol=1e-6)
+
+
 # ------------------------------------------------------------- SolverConfig
 
 def test_config_defaults_resolve_inner_tol():

@@ -100,3 +100,29 @@ def test_vanishing_h_recovers_linearization():
     tiny = RegularizedModel(base, 1.0, 1e-14)
     probe = np.array([0.9, -0.4, 0.2])
     assert np.linalg.norm(tiny(probe) - base(probe)) <= 1e-10
+
+
+def central_difference(fn, z, h=1e-6):
+    cols = [(fn(z + h * e) - fn(z - h * e)) / (2.0 * h) for e in np.eye(z.shape[0])]
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("power", [0.0, 0.5, 1.0, 2.0])
+def test_regularized_jacobian_matches_finite_difference(rng, power):
+    d = 4
+    B = rng.standard_normal((d, d))
+    anchor = rng.standard_normal(d)
+    m = RegularizedModel(LinearModel(anchor, rng.standard_normal(d), B), power, 1.7)
+    z = anchor + 0.6 * rng.standard_normal(d)  # away from the kink at the anchor
+    np.testing.assert_allclose(m.jacobian_at(z), central_difference(m, z),
+                               atol=1e-7)
+
+
+def test_regularized_jacobian_at_anchor_uses_zero_power_one():
+    # 0^0 = 1: with power 0 the radial term is H d, Jacobian J + H I, also at d = 0
+    J = np.array([[1.0, 2.0], [0.0, 3.0]])
+    anchor = np.array([0.5, -0.5])
+    m0 = RegularizedModel(LinearModel(anchor, np.zeros(2), J), 0.0, 2.0)
+    np.testing.assert_array_equal(m0.jacobian_at(anchor), J + 2.0 * np.eye(2))
+    m1 = RegularizedModel(LinearModel(anchor, np.zeros(2), J), 1.0, 2.0)
+    np.testing.assert_array_equal(m1.jacobian_at(anchor), J)

@@ -1,4 +1,5 @@
-"""Inner solver: secular path, extragradient fallback, prox pieces."""
+"""Inner solver: secular path, semismooth Newton, extragradient fallback,
+prox pieces."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from holder_vi.subproblem import (
     prox_step,
     solve_model_vi,
 )
+from holder_vi.tensor import TensorModel, solve_tensor_subproblem
 
 GOLDEN = 0.6180339887498949  # (sqrt(5) - 1) / 2
 
@@ -107,7 +109,7 @@ def test_scalar_box_half_step():
     m = scalar_model(1.0, 1.0, 2.0)
     sol = solve_model_vi(m, Box(1, np.array([-1.0]), np.array([1.0])), 1e-12)
     assert sol.point[0] == pytest.approx(0.5, abs=1e-9)
-    assert sol.method == "peg"
+    assert sol.method == "newton"
 
 
 def test_power_zero_uses_constant_shift():
@@ -207,19 +209,46 @@ def test_peg_power_zero_returns_anchor_exactly():
     np.testing.assert_array_equal(sol.point, anchor)
 
 
+def random_order3_model(rng, d, power, H, anchor):
+    """Order-3 model with J - 0.5 I PSD-plus-skew and |D2F|_F = 0.5: for
+    H >= 0.5 and power >= 1 its Jacobian's symmetric part stays above
+    0.5 - 0.5|d| + H|d|^power > 0, so the VI has one solution."""
+    T = rng.standard_normal((d, d, d))
+    T = 0.5 * (T + T.transpose(0, 2, 1))
+    T *= 0.5 / np.linalg.norm(T)
+    B = rng.standard_normal((d, d))
+    J = B @ B.T / d + 0.2 * (B - B.T) + 0.5 * np.eye(d)
+    return TensorModel(anchor=anchor, order=3, value=rng.standard_normal(d),
+                       jacobian=J, power=power, H=H,
+                       deriv=lambda o, z, dirs: np.einsum("ijk,j,k->i", T, *dirs))
+
+
 @settings(max_examples=24, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(SETS)),
-       power=st.sampled_from([0.0, 0.5, 1.0]), H=st.floats(0.2, 5.0))
-def test_peg_agrees_with_secular_on_random_models(seed, kind, power, H):
+       power=st.sampled_from([0.0, 0.5, 1.0, 2.0]), H=st.floats(0.2, 5.0),
+       order=st.sampled_from([2, 3]))
+def test_peg_agrees_with_secular_on_random_models(seed, kind, power, H, order):
+    # the default path (secular on balls and whole space, semismooth Newton
+    # on boxes and for every order-3 model) against projected extragradient
     rng = np.random.default_rng(seed)
     d, tol = 4, 1e-10
     fs = SETS[kind](rng, d)
-    m = random_model(rng, d, power, H, anchor=fs.sample(rng, 1)[0])
-    peg = solve_model_vi(m, fs, tol, prefer="peg")
-    assert peg.residual <= tol
-    if kind != "box":
-        sec = solve_model_vi(m, fs, tol)
-        assert np.linalg.norm(peg.point - sec.point) <= 1e-6
+    anchor = fs.sample(rng, 1)[0]
+    if order == 2:
+        m = random_model(rng, d, power, H, anchor=anchor)
+        peg = solve_model_vi(m, fs, tol, prefer="peg")
+        assert peg.residual <= tol
+        peg_point = peg.point
+        sol = solve_model_vi(m, fs, tol)
+    else:
+        # the order-3 regularizer power is 1 + nu, here nu = power / 2
+        m = random_order3_model(rng, d, 1.0 + power / 2, 0.5 + H, anchor)
+        peg_point, res, _ = peg_callable(m, fs, anchor, tol, 200_000, 0.2)
+        assert res <= tol
+        sol = solve_tensor_subproblem(m, fs, tol)
+        assert sol.method == "newton"
+    assert sol.residual <= tol
+    assert np.linalg.norm(peg_point - sol.point) <= 1e-6
 
 
 def test_indefinite_jacobian_warns_and_falls_back():
