@@ -10,6 +10,7 @@ generalized Jacobian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -162,13 +163,13 @@ class Ball(FeasibleSet):
 
     def project(self, z: Array) -> Array:
         w = np.asarray(z, dtype=np.float64) - self.center
-        n = np.linalg.norm(w)
+        n = math.sqrt(w @ w)
         if n <= self.radius:
             return self.center + w
         return self.center + w * (self.radius / n)
 
     def support_argmax(self, g: Array) -> Array:
-        n = np.linalg.norm(g)
+        n = math.sqrt(g @ g)
         if n == 0.0:
             return self.center.copy()
         return self.center + g * (self.radius / n)
@@ -188,7 +189,7 @@ class Ball(FeasibleSet):
         # outside: JP = s (I - w w^T) with s = r/|x - c| and unit w, so
         # JM JP + I - JP = s JM + (1 - s) I + s (w - JM w) w^T
         w = x - self.center
-        n = float(np.linalg.norm(w))
+        n = math.sqrt(w @ w)
         if n <= self.radius:
             return JM
         s = self.radius / n

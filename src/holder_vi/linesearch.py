@@ -12,10 +12,9 @@ loops never re-evaluate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
-
-import numpy as np
 
 from .core import Array, FeasibleSet, Operator
 from .errors import LineSearchExhausted
@@ -124,7 +123,8 @@ def search(op: Operator, feasible: FeasibleSet, z_k: Array, H_k: float,
             trials.append((H_trial, float("inf"), 0.0))
             continue
         T = sol.point
-        step = float(np.linalg.norm(T - z_k))
+        d = T - z_k
+        step = math.sqrt(d @ d)
         fT = op.value(T)
         if gap_check is not None:
             g = gap_check(T, fT)
@@ -134,7 +134,8 @@ def search(op: Operator, feasible: FeasibleSet, z_k: Array, H_k: float,
                                          trials=trials, f_at_accepted=fT,
                                          residual=sol.residual,
                                          early_exit_gap=g)
-        lhs = float(np.linalg.norm(fT - base_eval(T)))
+        e = fT - base_eval(T)
+        lhs = math.sqrt(e @ e)
         rhs = 0.5 * H_trial * step ** mode.criterion_exp
         trials.append((H_trial, lhs, rhs))
         if criterion_accepts(lhs, rhs):

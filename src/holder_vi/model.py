@@ -4,12 +4,18 @@
 ``RegularizedModel`` adds the radial term H * |z'-z|^power * (z'-z); with
 power 0 the coefficient is constant (0^0 = 1, so the step-zero value is
 still well defined).  ``jacobian_at`` is the model's exact Jacobian, which
-the semismooth Newton inner solver needs.
+the semismooth Newton inner solver needs.  A line search builds one
+``LinearModel`` per outer iteration and regularizes it once per trial, so
+the linear model caches what every trial's solve reads of J: the smallest
+eigenvalue of its symmetric part (the monotonicity check) and its norm.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +30,19 @@ class LinearModel:
 
     def __call__(self, z: Array) -> Array:
         return self.value + self.jacobian @ (z - self.anchor)
+
+    @cached_property
+    def sym_min_eig(self) -> Optional[float]:
+        """Smallest eigenvalue of (J + J^T)/2; None above d=400, where the
+        eigendecomposition is not worth its cost."""
+        if self.jacobian.shape[0] > 400:
+            return None
+        return float(np.linalg.eigvalsh(0.5 * (self.jacobian + self.jacobian.T))[0])
+
+    @cached_property
+    def jacobian_norm(self) -> float:
+        """Frobenius norm of J."""
+        return float(np.linalg.norm(self.jacobian))
 
 
 @dataclass(frozen=True)
@@ -44,14 +63,15 @@ class RegularizedModel:
         return self.base.anchor
 
     def __call__(self, z: Array) -> Array:
-        d = z - self.base.anchor
-        nd = float(np.linalg.norm(d))
-        return self.base(z) + (self.H * nd ** self.power) * d
+        base = self.base
+        d = z - base.anchor
+        nd = math.sqrt(d @ d)
+        return base.value + base.jacobian @ d + (self.H * nd ** self.power) * d
 
     def jacobian_at(self, z: Array) -> Array:
         """J + H (|d|^power I + power |d|^(power-2) d d^T), with 0^0 = 1."""
         d = z - self.base.anchor
-        nd = float(np.linalg.norm(d))
+        nd = math.sqrt(d @ d)
         out = self.base.jacobian + (self.H * nd ** self.power) * np.eye(d.shape[0])
         if nd > 0.0 and self.power != 0.0:
             out += (self.H * self.power * nd ** (self.power - 2.0)) * np.outer(d, d)

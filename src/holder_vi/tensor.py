@@ -10,6 +10,7 @@ Newton's answer is not certified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -21,13 +22,12 @@ from .linesearch import SearchMode, TrialRejected
 from .model import LinearModel, RegularizedModel
 from .solvers import RunResult, _drive, _search_step
 from .subproblem import (
+    _PEG_MAX_EVALS,
     SubproblemSolution,
     newton_normal_map,
     peg_callable,
     solve_model_vi,
 )
-
-_PEG_MAX_EVALS_TENSOR = 40_000
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class TensorModel:
 
     def __call__(self, z: Array) -> Array:
         d = z - self.anchor
-        nd = float(np.linalg.norm(d))
+        nd = math.sqrt(d @ d)
         return self.taylor(z) + (self.H * nd ** self.power) * d
 
     def jacobian_at(self, z: Array) -> Array:
@@ -67,7 +67,7 @@ class TensorModel:
             eye = np.eye(dim)
             for j in range(dim):
                 Jm[:, j] += self.deriv(2, self.anchor, (d, eye[j]))
-        nd = float(np.linalg.norm(d))
+        nd = math.sqrt(d @ d)
         if nd > 0.0:
             Jm += self.H * (nd ** self.power * np.eye(dim)
                             + self.power * nd ** (self.power - 2.0) * np.outer(d, d))
@@ -98,7 +98,7 @@ def solve_tensor_subproblem(model, feasible: FeasibleSet,
         return sol
     beta0 = 1.0 / (1.0 + float(np.linalg.norm(model.jacobian)))
     u, res, evals = peg_callable(model, feasible, model.anchor, inner_tol,
-                                 _PEG_MAX_EVALS_TENSOR, beta0)
+                                 _PEG_MAX_EVALS, beta0)
     if res > inner_tol:
         raise SubproblemFailure(
             f"tensor model solve stopped at residual {res:g} > {inner_tol:g} "

@@ -275,7 +275,7 @@ def test_declared_constants_hold():
 
 
 def test_subproblem_cross_validation():
-    """Closed-form fixtures to 1e-9 and secular-vs-extragradient agreement
+    """Closed-form fixtures to 1e-9 and Newton-vs-extragradient agreement
     to 1e-6 on one hundred random instances."""
     m = RegularizedModel(LinearModel(np.zeros(1), np.ones(1), np.eye(1)),
                          1.0, 1.0)
@@ -296,11 +296,11 @@ def test_subproblem_cross_validation():
         J = B @ B.T / d + (S - S.T)
         c = rng.standard_normal(d)
         model = RegularizedModel(LinearModel(np.zeros(d), c, J), 0.5, 1.3)
-        sec = solve_model_vi(model, WholeSpace(d), 1e-10, prefer="secular")
+        newton = solve_model_vi(model, WholeSpace(d), 1e-10)
         radius = 3.0 * (np.linalg.norm(c) / 1.3) ** (1.0 / 1.5) + 1.0
         peg, _, _ = peg_callable(model, WholeSpace(d), np.zeros(d), 1e-10,
                                  200_000, radius)
-        worst = max(worst, float(np.linalg.norm(sec.point - peg)))
+        worst = max(worst, float(np.linalg.norm(newton.point - peg)))
 
     ok = golden_err <= 1e-9 and ball_err <= 1e-9 and worst <= 1e-6
     _verdict("subproblem cross-validation", ok,

@@ -222,6 +222,30 @@ def test_tight_accuracy_certifies_promptly(tmp_path, argv):
     assert all(v["status"] != "fail" for v in payload["bound_checks"].values())
 
 
+def test_float64_floor_fails_promptly(tmp_path, capsys):
+    # inner_tol = 1e-16 is below what Newton and PEG reach on this run; the
+    # PEG fallback gives up after its one budget instead of grinding on
+    t0 = time.perf_counter()
+    with pytest.warns(RuntimeWarning, match="semismooth Newton stopped"):
+        rc = main(["solve", "--problem", "piecewise:d=5", "--method", "uren",
+                   "--H0", "1", "--K", "60", "--eps", "1e-12",
+                   "--out", str(tmp_path)])
+    elapsed = time.perf_counter() - t0
+    assert rc == 2
+    assert "residual" in capsys.readouterr().err
+    assert elapsed <= 2.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning:holder_vi.subproblem")
+@pytest.mark.parametrize("d", [20, 200])
+def test_near_skew_ball_runs_certify_without_fallback(tmp_path, d):
+    # bilinear models are near-skew (H ~ 1e-8) with interior solutions,
+    # where Newton on the ball's normal map alone stalls near the sphere
+    rc = main(["solve", "--problem", f"bilinear:d={d}", "--method", "nu-aren",
+               "--H0", "1", "--K", "100", "--out", str(tmp_path)])
+    assert rc == 0
+
+
 # -------------------------------------------------------------------- rates
 
 def test_rates_selftest_known_exponent(capsys):

@@ -1,5 +1,6 @@
-"""Inner solver: secular path, semismooth Newton, extragradient fallback,
-prox pieces."""
+"""Inner solver: semismooth Newton, extragradient fallback, prox pieces."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from holder_vi.core import Ball, Box, WholeSpace
 from holder_vi.errors import DegenerateRegularization, SubproblemFailure
+from holder_vi.linesearch import SearchMode, search
 from holder_vi.model import LinearModel, RegularizedModel
+from holder_vi.problems import make_power
 from holder_vi.subproblem import (
     gamma_of,
     natural_residual,
@@ -71,10 +74,12 @@ def test_prox_step_rejects_zero_gamma():
 
 def test_golden_ratio_step():
     # (1 + lam) d = -1 with lam = |d| gives |d| = (sqrt(5) - 1) / 2
-    sol = solve_model_vi(scalar_model(0.0, 1.0, 1.0), WholeSpace(1), 1e-12)
+    m = scalar_model(0.0, 1.0, 1.0)
+    sol = solve_model_vi(m, WholeSpace(1), 1e-12)
     assert sol.point[0] == pytest.approx(-GOLDEN, abs=1e-9)
-    assert sol.lam == pytest.approx(GOLDEN, abs=1e-6)
-    assert sol.method == "secular"
+    lam = m.H * float(np.linalg.norm(sol.point - m.anchor)) ** m.power
+    assert lam == pytest.approx(GOLDEN, abs=1e-6)
+    assert sol.method == "newton"
 
 
 def test_ball_boundary_fixture_with_multiplier():
@@ -86,7 +91,8 @@ def test_ball_boundary_fixture_with_multiplier():
     sol = solve_model_vi(m, Ball(2, np.zeros(2), 0.5), 1e-10)
     np.testing.assert_allclose(sol.point, [-0.5, 0.0], atol=1e-9)
     assert sol.multiplier == pytest.approx(1.5, abs=1e-6)
-    assert sol.lam == pytest.approx(0.5, abs=1e-6)
+    lam = m.H * float(np.linalg.norm(sol.point - m.anchor)) ** m.power
+    assert lam == pytest.approx(0.5, abs=1e-6)
 
 
 def test_ball_interior_reduces_to_whole_space():
@@ -113,11 +119,59 @@ def test_scalar_box_half_step():
 
 
 def test_power_zero_uses_constant_shift():
-    # power 0 short-circuits the radial solve: (J + H I) d = -c directly
+    # power 0 makes the model linear, (J + H I) d = -c: one Newton step
     m = scalar_model(0.0, 2.0, 3.0, power=0.0)
     sol = solve_model_vi(m, WholeSpace(1), 1e-12)
+    assert sol.method == "newton"
+    assert sol.evals == 1
     assert sol.point[0] == pytest.approx(-0.5)
-    assert sol.lam == 3.0
+
+
+def test_near_skew_ball_model_with_interior_solution_takes_newton():
+    # skew J with a tiny H traps the ball's normal-map Newton near the
+    # sphere; solving on the whole space first finds the interior point
+    rng = np.random.default_rng(7)
+    d, H = 20, 1e-8
+    B = rng.standard_normal((d, d))
+    J = B - B.T
+    anchor = 0.1 * rng.standard_normal(d)
+    step = 0.3 * rng.standard_normal(d) / np.sqrt(d)
+    c = -(J @ step + H * np.linalg.norm(step) * step)
+    m = RegularizedModel(LinearModel(anchor, c, J), 1.0, H)
+    ball = Ball(d, np.zeros(d), 1.0)
+    assert np.linalg.norm(anchor + step) < 0.9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_model_vi(m, ball, 1e-10)
+    assert sol.method == "newton"
+    assert sol.residual <= 1e-10
+    assert sol.multiplier == 0.0
+    np.testing.assert_allclose(sol.point, anchor + step, atol=1e-8)
+
+
+def test_prefer_accepts_only_none_and_peg():
+    m = scalar_model(0.0, 1.0, 1.0)
+    for prefer in ("secular", "newton", ""):
+        with pytest.raises(ValueError, match="prefer"):
+            solve_model_vi(m, WholeSpace(1), 1e-12, prefer=prefer)
+
+
+def test_search_checks_monotonicity_once_per_linear_model(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    inst = make_power(5, 0.5, 1.0)
+    z = np.full(5, 0.3)
+    # H_k = 1e-6 is far below the operator's constant: the first trials fail
+    out = search(inst.operator, inst.feasible, z, 1e-6, SearchMode.holder(0.5),
+                 1e-10, 30)
+    assert out.i_k >= 1
+    assert calls == [(5, 5)]
 
 
 # -------------------------------------------------------------- invariants
@@ -156,7 +210,7 @@ def test_inner_solution_unique_across_starts():
     assert np.linalg.norm(a - b) <= 10.0 * tol
 
 
-def test_secular_matches_extragradient(rng):
+def test_newton_matches_extragradient(rng):
     worst = 0.0
     for _ in range(10):
         d = 6
@@ -165,9 +219,10 @@ def test_secular_matches_extragradient(rng):
         J = B @ B.T / d + (S - S.T)
         c = rng.standard_normal(d)
         m = RegularizedModel(LinearModel(np.zeros(d), c, J), 0.5, 1.3)
-        sec = solve_model_vi(m, WholeSpace(d), 1e-10, prefer="secular")
+        newton = solve_model_vi(m, WholeSpace(d), 1e-10)
         peg = solve_model_vi(m, WholeSpace(d), 1e-10, prefer="peg")
-        worst = max(worst, float(np.linalg.norm(sec.point - peg.point)))
+        assert newton.method == "newton"
+        worst = max(worst, float(np.linalg.norm(newton.point - peg.point)))
     assert worst <= 1e-6
 
 
@@ -227,9 +282,9 @@ def random_order3_model(rng, d, power, H, anchor):
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(SETS)),
        power=st.sampled_from([0.0, 0.5, 1.0, 2.0]), H=st.floats(0.2, 5.0),
        order=st.sampled_from([2, 3]))
-def test_peg_agrees_with_secular_on_random_models(seed, kind, power, H, order):
-    # the default path (secular on balls and whole space, semismooth Newton
-    # on boxes and for every order-3 model) against projected extragradient
+def test_default_path_agrees_with_peg_on_random_models(seed, kind, power, H, order):
+    # the default path (semismooth Newton on every set and order) against
+    # projected extragradient
     rng = np.random.default_rng(seed)
     d, tol = 4, 1e-10
     fs = SETS[kind](rng, d)
@@ -246,7 +301,7 @@ def test_peg_agrees_with_secular_on_random_models(seed, kind, power, H, order):
         peg_point, res, _ = peg_callable(m, fs, anchor, tol, 200_000, 0.2)
         assert res <= tol
         sol = solve_tensor_subproblem(m, fs, tol)
-        assert sol.method == "newton"
+    assert sol.method == "newton"
     assert sol.residual <= tol
     assert np.linalg.norm(peg_point - sol.point) <= 1e-6
 
