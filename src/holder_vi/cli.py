@@ -90,17 +90,23 @@ def _parse_setting(key: str, raw: str):
 
 
 def _read_config_file(path: str) -> dict:
-    """Parse the INI run file into {'problem': str, 'solver': {...},
+    """Parse the INI run file; see ``_parse_ini``."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return _parse_ini(text, str(path))
+
+
+def _parse_ini(text: str, source: str) -> dict:
+    """Parse run-file INI text into {'problem': str, 'solver': {...},
     'output': {...}}, rejecting unknown sections and keys."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys like H, H0, L are case-sensitive
     try:
-        with open(path) as fh:
-            cp.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        cp.read_string(text, source)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        raise ConfigError(f"malformed config file {source}: {exc}") from exc
     out = {"problem": None, "solver": {}, "output": {}}
     for section in cp.sections():
         if section == "problem":
@@ -224,17 +230,8 @@ def parse_echo(trace_path) -> dict:
             if not ln.startswith("#"):
                 break
             lines.append(ln[1:].strip())
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    cp.read_string("\n".join(lines))
-    out = {"problem": None, "solver": {}}
-    items = dict(cp.items("problem"))
-    family = items.pop("family")
-    out["problem"] = family + (":" if items else "") + ",".join(
-        f"{k}={v}" for k, v in items.items())
-    for key, raw in cp.items("solver"):
-        out["solver"][key] = _parse_setting(key, raw)
-    return out
+    out = _parse_ini("\n".join(lines), str(trace_path))
+    return {"problem": out["problem"], "solver": out["solver"]}
 
 
 def write_trace(path: Path, res: RunResult, echo: List[str]) -> None:
@@ -325,21 +322,6 @@ def _slope_target(method: str, nu: float, p: int) -> float:
     return -1.0  # extragradient
 
 
-def _worker_count(n: int) -> int:
-    cap = os.environ.get("HOLDER_VI_THREADS")
-    workers = min(n, os.cpu_count() or 1)
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError as exc:
-            raise ConfigError(
-                f"HOLDER_VI_THREADS must be an integer, got {cap!r}") from exc
-        if cap < 1:
-            raise ConfigError("HOLDER_VI_THREADS must be >= 1")
-        workers = min(workers, cap)
-    return workers
-
-
 def cmd_rates(args) -> int:
     if args.selftest:
         return _selftest(args.selftest)
@@ -354,7 +336,7 @@ def cmd_rates(args) -> int:
         def one(K):
             return execute(instance, replace(cfg, K=K)).final_gap
 
-        with ThreadPoolExecutor(max_workers=_worker_count(len(grid))) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(grid), os.cpu_count() or 1)) as pool:
             gaps = list(pool.map(one, grid))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,13 +1,16 @@
-"""First-order models of the operator around an anchor point.
+"""Taylor models of the operator around an anchor point.
 
-``LinearModel`` is the Taylor linearization F(z) + J(z)(z'-z).
-``RegularizedModel`` adds the radial term H * |z'-z|^power * (z'-z); with
-power 0 the coefficient is constant (0^0 = 1, so the step-zero value is
-still well defined).  ``jacobian_at`` is the model's exact Jacobian, which
-the semismooth Newton inner solver needs.  A line search builds one
-``LinearModel`` per outer iteration and regularizes it once per trial, so
-the linear model caches what every trial's solve reads of J: the smallest
-eigenvalue of its symmetric part (the monotonicity check) and its norm.
+``LinearModel`` is the linearization F(z) + J(z) d and ``QuadraticModel``
+adds the second-order term D²F(z)[d, d] / 2, with d = z' - z the step
+from the anchor.  ``RegularizedModel`` adds the radial term
+H * |d|^power * d to either base; with power 0 the coefficient is
+constant (0^0 = 1, so the step-zero value is still well defined).  Each
+model's ``jacobian_at`` is its exact Jacobian, which the semismooth
+Newton inner solver needs.  A line
+search builds one base per outer iteration and regularizes it once per
+trial, so the base caches what every trial's solve reads of J: its norm
+and, for linear models, the smallest eigenvalue of its symmetric part
+(the monotonicity check).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -23,13 +26,28 @@ from .core import Array, Operator
 
 
 @dataclass(frozen=True)
-class LinearModel:
+class _TaylorBase:
     anchor: Array
     value: Array
     jacobian: Array
 
     def __call__(self, z: Array) -> Array:
-        return self.value + self.jacobian @ (z - self.anchor)
+        return self.taylor(z - self.anchor)
+
+    @cached_property
+    def jacobian_norm(self) -> float:
+        """Frobenius norm of J."""
+        return float(np.linalg.norm(self.jacobian))
+
+
+@dataclass(frozen=True)
+class LinearModel(_TaylorBase):
+    def taylor(self, d: Array) -> Array:
+        """F + J d at the step d from the anchor."""
+        return self.value + self.jacobian @ d
+
+    def jacobian_at(self, z: Array) -> Array:
+        return self.jacobian
 
     @cached_property
     def sym_min_eig(self) -> Optional[float]:
@@ -39,22 +57,37 @@ class LinearModel:
             return None
         return float(np.linalg.eigvalsh(0.5 * (self.jacobian + self.jacobian.T))[0])
 
-    @cached_property
-    def jacobian_norm(self) -> float:
-        """Frobenius norm of J."""
-        return float(np.linalg.norm(self.jacobian))
+
+@dataclass(frozen=True)
+class QuadraticModel(_TaylorBase):
+    """Second-order Taylor expansion; ``deriv(2, anchor, (u, v))`` is D²F[u, v]."""
+
+    deriv: Callable[[int, Array, tuple], Array]
+
+    def taylor(self, d: Array) -> Array:
+        """F + J d + D²F[d, d] / 2 at the step d from the anchor."""
+        return self.value + self.jacobian @ d + self.deriv(2, self.anchor, (d, d)) / 2.0
+
+    def jacobian_at(self, z: Array) -> Array:
+        """J plus the columns D²F[d, e_j], one D²F call each."""
+        d = z - self.anchor
+        out = self.jacobian.copy()
+        for j, e in enumerate(np.eye(d.shape[0])):
+            out[:, j] += self.deriv(2, self.anchor, (d, e))
+        return out
 
 
 @dataclass(frozen=True)
 class RegularizedModel:
-    """Linear model plus an isotropic radial regularizer.
+    """Taylor model plus an isotropic radial regularizer.
 
     ``power`` is the exponent on the step norm (the Holder exponent for
-    the known-smoothness methods, 1 for the universal ones) and ``H`` the
-    coefficient in front of the radial term.
+    the known-smoothness methods, 1 for the universal ones, p-2+nu or p-1
+    for the order-p ones) and ``H`` the coefficient in front of the radial
+    term.
     """
 
-    base: LinearModel
+    base: Union[LinearModel, QuadraticModel]
     power: float
     H: float
 
@@ -63,16 +96,16 @@ class RegularizedModel:
         return self.base.anchor
 
     def __call__(self, z: Array) -> Array:
-        base = self.base
-        d = z - base.anchor
-        nd = math.sqrt(d @ d)
-        return base.value + base.jacobian @ d + (self.H * nd ** self.power) * d
-
-    def jacobian_at(self, z: Array) -> Array:
-        """J + H (|d|^power I + power |d|^(power-2) d d^T), with 0^0 = 1."""
         d = z - self.base.anchor
         nd = math.sqrt(d @ d)
-        out = self.base.jacobian + (self.H * nd ** self.power) * np.eye(d.shape[0])
+        return self.base.taylor(d) + (self.H * nd ** self.power) * d
+
+    def jacobian_at(self, z: Array) -> Array:
+        """Base Jacobian + H (|d|^power I + power |d|^(power-2) d d^T), with
+        0^0 = 1."""
+        d = z - self.base.anchor
+        nd = math.sqrt(d @ d)
+        out = self.base.jacobian_at(z) + (self.H * nd ** self.power) * np.eye(d.shape[0])
         if nd > 0.0 and self.power != 0.0:
             out += (self.H * self.power * nd ** (self.power - 2.0)) * np.outer(d, d)
         return out

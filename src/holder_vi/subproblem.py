@@ -1,6 +1,7 @@
 """Inner solver for the regularized model VI.
 
-Every model VI, of order 2 or 3 and on every set, is solved by
+``solve_model_vi`` is the one entry for every ``RegularizedModel``, of
+order 2 (linear base) or 3 (quadratic base), on every set.  It runs
 semismooth Newton on Robinson's normal map.  On a ball, a second-order
 model is first solved on the whole space: that point is the answer when
 it lies in the ball, and otherwise it starts the ball's Newton.  When
@@ -21,9 +22,8 @@ import numpy as np
 
 from .core import Array, Ball, Box, FeasibleSet, WholeSpace
 from .errors import DegenerateRegularization, SubproblemFailure
-from .model import RegularizedModel
+from .model import LinearModel, RegularizedModel
 
-# one PEG budget for the fallbacks of both model orders
 _PEG_MAX_EVALS = 40_000
 _NEWTON_MAX_STEPS = 50
 # Armijo: accept x + a s, a = 1, 1/2, 1/4, ..., once |r| drops by the
@@ -45,7 +45,11 @@ class SubproblemSolution:
 def natural_residual(model: Callable[[Array], Array], feasible: FeasibleSet,
                      u: Array) -> float:
     """Unit-step natural map residual |u - P(u - M(u))|."""
-    r = u - feasible.project(u - model(u))
+    return _residual_at(feasible, u, model(u))
+
+
+def _residual_at(feasible: FeasibleSet, u: Array, Mu: Array) -> float:
+    r = u - feasible.project(u - Mu)
     return math.sqrt(r @ r)
 
 
@@ -68,15 +72,16 @@ def prox_step(z: Array, g: Array, gamma: float, feasible: FeasibleSet) -> Array:
 def _newton(model, feasible: FeasibleSet, tol: float, x: Array):
     """Backtracked Newton steps on the normal map from x.
 
-    Returns (x, u = P(x), steps, why Newton stopped).
+    Returns (x, u = P(x), M(u), steps, why Newton stopped).
     """
 
     def normal_map(x):
         u = feasible.project(x)
-        r = model(u) + x - u
-        return u, r, math.sqrt(r @ r)
+        Mu = model(u)
+        r = Mu + x - u
+        return u, Mu, r, math.sqrt(r @ r)
 
-    u, r, rn = normal_map(x)
+    u, Mu, r, rn = normal_map(x)
     steps = 0
     reason = "normal-map residual met the tolerance"
     while steps < _NEWTON_MAX_STEPS:
@@ -90,7 +95,7 @@ def _newton(model, feasible: FeasibleSet, tol: float, x: Array):
         a = 1.0
         for _ in range(_ARMIJO_TRIALS):
             x_new = x + a * s
-            u_new, r_new, rn_new = normal_map(x_new)
+            u_new, Mu_new, r_new, rn_new = normal_map(x_new)
             if rn_new <= (1.0 - _ARMIJO * a) * rn:
                 break
             a *= 0.5
@@ -98,26 +103,27 @@ def _newton(model, feasible: FeasibleSet, tol: float, x: Array):
             reason = "backtracking stalled"
             break
         cut = rn_new <= 0.1 * rn
-        x, u, r, rn = x_new, u_new, r_new, rn_new
+        x, u, Mu, r, rn = x_new, u_new, Mu_new, r_new, rn_new
         if cut and rn <= tol:
             break
     else:
         reason = f"{_NEWTON_MAX_STEPS} steps"
-    return x, u, steps, reason
+    return x, u, Mu, steps, reason
 
 
-def newton_normal_map(model, feasible: FeasibleSet,
+def newton_normal_map(model: RegularizedModel, feasible: FeasibleSet,
                       tol: float) -> Optional[SubproblemSolution]:
     """Semismooth Newton on Robinson's normal map of the model VI.
 
-    Works on any model with ``__call__`` and ``jacobian_at``.  With
-    u = P(x), the normal map r(x) = M(u) + x - u vanishes exactly when u
-    solves the VI; the Newton matrix is JM(u) JP(x) + I - JP(x), and steps
-    are backtracked (Armijo) on |r|.  The start is x0 = anchor - M(anchor).
+    Works on a regularized model of either base.  With u = P(x), the
+    normal map r(x) = M(u) + x - u vanishes exactly when u solves the VI;
+    the Newton matrix is JM(u) JP(x) + I - JP(x), and steps are
+    backtracked (Armijo) on |r|.  The start is x0 = anchor - M(anchor).
     Newton stops once |r| <= tol right after a step that cut |r| at least
     tenfold (so slowly converging degenerate roots keep refining), or when
     the backtracking stalls.  Since P is nonexpansive, |r| bounds the
-    natural residual at u, which certifies the answer.
+    natural residual at u, which certifies the answer; the certificate
+    reuses the M(u) of Newton's last normal-map evaluation.
 
     A second-order model on a ball is first solved on the whole space,
     which the normal map's kink at the sphere cannot trap: near-skew
@@ -131,17 +137,17 @@ def newton_normal_map(model, feasible: FeasibleSet,
     """
     x = model.anchor - model(model.anchor)
     steps = 0
-    if isinstance(feasible, Ball) and isinstance(model, RegularizedModel):
-        x, u, steps, _ = _newton(model, WholeSpace(feasible.dim), tol, x)
+    if isinstance(feasible, Ball) and isinstance(model.base, LinearModel):
+        x, u, Mu, steps, _ = _newton(model, WholeSpace(feasible.dim), tol, x)
         w = u - feasible.center
         if w @ w <= feasible.radius ** 2:
-            res = natural_residual(model, feasible, u)
+            res = _residual_at(feasible, u, Mu)
             if res <= tol:
                 return SubproblemSolution(point=u, residual=res, evals=steps,
                                           method="newton", multiplier=0.0)
-    x, u, more, reason = _newton(model, feasible, tol, x)
+    x, u, Mu, more, reason = _newton(model, feasible, tol, x)
     steps += more
-    res = natural_residual(model, feasible, u)
+    res = _residual_at(feasible, u, Mu)
     if res <= tol:
         multiplier = None
         if isinstance(feasible, Ball):
@@ -174,10 +180,9 @@ def peg_callable(model: Callable[[Array], Array], feasible: FeasibleSet,
                  start: Array, tol: float, max_evals: int, beta0: float):
     """Projected extragradient with backtracked step on a callable model.
 
-    The one PEG loop: regularized first-order models and third-order
-    model closures both run through it.  The
-    residual uses a unit step, |u - P(u - M(u))|.  Returns (point,
-    residual, evals).
+    The one PEG loop; the inner solver reaches it through
+    ``peg_regularized``.  The residual uses a unit step,
+    |u - P(u - M(u))|.  Returns (point, residual, evals).
     """
     u = np.asarray(start, dtype=np.float64).copy()
     beta = beta0
@@ -209,43 +214,31 @@ def peg_callable(model: Callable[[Array], Array], feasible: FeasibleSet,
 
 def peg_regularized(start: Array, model: RegularizedModel, feasible: FeasibleSet,
                     tol: float, max_evals: int, beta0: float):
-    """peg_callable on a regularized model, under a name of its own.
-
-    Kept separate so that the first-order fallback can be timed and
-    counted apart from the order-3 calls: ``_peg_model`` looks it up here.
-    """
+    """peg_callable on a regularized model of either order: the one PEG call
+    site of the inner solver, under a name of its own so that the fallback
+    can be timed and counted apart from other ``peg_callable`` uses."""
     return peg_callable(model, feasible, start, tol, max_evals, beta0)
-
-
-def _peg_model(model: RegularizedModel, feasible: FeasibleSet, tol: float,
-               max_evals: int) -> SubproblemSolution:
-    u, res, evals = peg_regularized(model.anchor, model, feasible, tol,
-                                    max_evals, _beta0_for(model, feasible))
-    if res > tol:
-        raise SubproblemFailure(
-            f"projected extragradient stopped at residual {res:g} > {tol:g} "
-            f"after {evals} model evaluations")
-    return SubproblemSolution(point=u, residual=res, evals=evals, method="peg")
 
 
 def solve_model_vi(model: RegularizedModel, feasible: FeasibleSet,
                    inner_tol: float, prefer: Optional[str] = None,
                    peg_max_evals: int = _PEG_MAX_EVALS) -> SubproblemSolution:
-    """Solve the VI of the regularized model over the feasible set.
+    """Solve the VI of a regularized model of order 2 or 3 over the set.
 
-    A check that the model Jacobian's symmetric part is not negative (read
-    from the cache of ``model.base``, so one eigendecomposition serves
-    every trial of a line search), then semismooth Newton on the normal
-    map, then projected extragradient when Newton's answer is not
-    certified.  A negative symmetric part (with a RuntimeWarning on every
-    solve) or ``prefer='peg'`` goes to projected extragradient directly;
-    ``prefer`` takes no other value than None.  Raises SubproblemFailure
-    when the natural-map residual cannot be brought below ``inner_tol``.
+    For a linear base, a check that the Jacobian's symmetric part is not
+    negative (read from the base's cache, so one eigendecomposition
+    serves every trial of a line search); then semismooth Newton on the
+    normal map, then projected extragradient from the anchor when
+    Newton's answer is not certified.  A negative symmetric part (with a
+    RuntimeWarning on every solve) or ``prefer='peg'`` goes to projected
+    extragradient directly; ``prefer`` takes no other value than None.
+    Raises SubproblemFailure when the natural-map residual cannot be
+    brought below ``inner_tol``.
     """
     if prefer not in (None, "peg"):
         raise ValueError(f"prefer must be None or 'peg', got {prefer!r}")
     base = model.base
-    sym_min = base.sym_min_eig
+    sym_min = base.sym_min_eig if isinstance(base, LinearModel) else None
     if sym_min is not None and sym_min < -1e-8 * (1.0 + base.jacobian_norm):
         warnings.warn(f"model Jacobian has negative symmetric part "
                       f"({sym_min:g}); using projected extragradient",
@@ -255,4 +248,10 @@ def solve_model_vi(model: RegularizedModel, feasible: FeasibleSet,
         sol = newton_normal_map(model, feasible, inner_tol)
         if sol is not None:
             return sol
-    return _peg_model(model, feasible, inner_tol, peg_max_evals)
+    u, res, evals = peg_regularized(model.anchor, model, feasible, inner_tol,
+                                    peg_max_evals, _beta0_for(model, feasible))
+    if res > inner_tol:
+        raise SubproblemFailure(
+            f"projected extragradient stopped at residual {res:g} > "
+            f"{inner_tol:g} after {evals} model evaluations")
+    return SubproblemSolution(point=u, residual=res, evals=evals, method="peg")

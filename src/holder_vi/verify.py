@@ -18,7 +18,7 @@ import numpy as np
 from .core import Ball, Box, WholeSpace, check_monotone, estimate_holder_constant
 from .errors import ConfigError
 from .metrics import c_nu_constant, c_p_nu, gap_upper_bound, grid_gap_max
-from .model import LinearModel, RegularizedModel
+from .model import LinearModel, QuadraticModel, RegularizedModel
 from .problems import (
     ProblemInstance,
     default_start,
@@ -29,7 +29,7 @@ from .problems import (
 )
 from .solvers import SolverConfig, k_for_accuracy, run_nu_aren, run_uren
 from .subproblem import peg_callable, solve_model_vi
-from .tensor import TensorModel, run_nu_aret, run_uret, solve_tensor_subproblem
+from .tensor import run_nu_aret, run_uret
 
 GROUPS = ("monotone", "remainder", "holder", "jacobian", "geometry",
           "subproblem", "reduction", "bounds", "gap")
@@ -241,25 +241,22 @@ def _check_subproblem(out: List[CheckResult]) -> None:
                            f"worst point gap {worst:.2e}"))
 
     rng = np.random.default_rng(3)
-    worst, methods = 0.0, set()
+    cases = []
     for _ in range(100):
-        d = 10
-        box = Box(d, -0.1 - rng.random(d), 0.1 + rng.random(d))
-        model = RegularizedModel(LinearModel(box.sample(rng, 1)[0],
-                                             rng.standard_normal(d),
-                                             _psd_plus_skew(rng, d)), 0.5, 1.3)
-        newton = solve_model_vi(model, box, 1e-10)
-        peg = solve_model_vi(model, box, 1e-10, prefer="peg")
+        box = Box(10, -0.1 - rng.random(10), 0.1 + rng.random(10))
+        cases.append((box, RegularizedModel(LinearModel(box.sample(rng, 1)[0],
+                                                        rng.standard_normal(10),
+                                                        _psd_plus_skew(rng, 10)),
+                                            0.5, 1.3)))
+    for _ in range(20):
+        ball = Ball(4, rng.standard_normal(4), 1.0 + rng.random())
+        cases.append((ball, _random_order3_model(rng, ball.sample(rng, 1)[0])))
+    worst, methods = 0.0, set()
+    for fs, model in cases:
+        newton = solve_model_vi(model, fs, 1e-10)
+        peg = solve_model_vi(model, fs, 1e-10, prefer="peg")
         methods.add(newton.method)
         worst = max(worst, float(np.linalg.norm(newton.point - peg.point)))
-    for _ in range(20):
-        d = 4
-        ball = Ball(d, rng.standard_normal(d), 1.0 + rng.random())
-        model = _random_order3_model(rng, ball.sample(rng, 1)[0])
-        newton = solve_tensor_subproblem(model, ball, 1e-10)
-        peg, _, _ = peg_callable(model, ball, model.anchor, 1e-10, 200_000, 0.2)
-        methods.add(newton.method)
-        worst = max(worst, float(np.linalg.norm(newton.point - peg)))
     out.append(CheckResult("subproblem", "newton vs extragradient, 100 d=10 boxes, "
                            "20 order-3 balls",
                            worst <= 1e-6 and methods == {"newton"},
@@ -273,17 +270,17 @@ def _psd_plus_skew(rng, d: int) -> np.ndarray:
     return B @ B.T / d + (S - S.T)
 
 
-def _random_order3_model(rng, anchor: np.ndarray) -> TensorModel:
+def _random_order3_model(rng, anchor: np.ndarray) -> RegularizedModel:
     """Order-3 model with J - 0.5 I PSD-plus-skew, |D2F| = 0.5 and H >= 1,
     so the model is strongly monotone and its VI has one solution."""
     d = anchor.shape[0]
     T = rng.standard_normal((d, d, d))
     T = 0.5 * (T + T.transpose(0, 2, 1))
     T *= 0.5 / np.linalg.norm(T)
-    return TensorModel(anchor=anchor, order=3, value=rng.standard_normal(d),
-                       jacobian=_psd_plus_skew(rng, d) + 0.5 * np.eye(d),
-                       deriv=lambda o, z, dirs: np.einsum("ijk,j,k->i", T, *dirs),
-                       power=1.0, H=1.0 + rng.random())
+    base = QuadraticModel(anchor, rng.standard_normal(d),
+                          _psd_plus_skew(rng, d) + 0.5 * np.eye(d),
+                          lambda o, z, dirs: np.einsum("ijk,j,k->i", T, *dirs))
+    return RegularizedModel(base, 1.0, 1.0 + rng.random())
 
 
 def _run_difference(a, b) -> Optional[str]:

@@ -276,13 +276,6 @@ def test_rates_grid_validation(tmp_path):
     assert rc == 3
 
 
-def test_rates_thread_cap_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOLDER_VI_THREADS", "many")
-    rc = main(["rates", "--problem", "power:d=3", "--method", "nu-ren",
-               "--H", "auto", "--grid", "8,12,16,24", "--out", str(tmp_path)])
-    assert rc == 3
-
-
 # ------------------------------------------------------------------- verify
 
 def test_verify_single_group_passes(capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from holder_vi.core import Ball, Box, WholeSpace
 from holder_vi.errors import DegenerateRegularization, SubproblemFailure
 from holder_vi.linesearch import SearchMode, search
-from holder_vi.model import LinearModel, RegularizedModel
+from holder_vi.model import LinearModel, QuadraticModel, RegularizedModel
 from holder_vi.problems import make_power
 from holder_vi.subproblem import (
     gamma_of,
@@ -19,7 +19,6 @@ from holder_vi.subproblem import (
     prox_step,
     solve_model_vi,
 )
-from holder_vi.tensor import TensorModel, solve_tensor_subproblem
 
 GOLDEN = 0.6180339887498949  # (sqrt(5) - 1) / 2
 
@@ -273,9 +272,9 @@ def random_order3_model(rng, d, power, H, anchor):
     T *= 0.5 / np.linalg.norm(T)
     B = rng.standard_normal((d, d))
     J = B @ B.T / d + 0.2 * (B - B.T) + 0.5 * np.eye(d)
-    return TensorModel(anchor=anchor, order=3, value=rng.standard_normal(d),
-                       jacobian=J, power=power, H=H,
-                       deriv=lambda o, z, dirs: np.einsum("ijk,j,k->i", T, *dirs))
+    base = QuadraticModel(anchor, rng.standard_normal(d), J,
+                          lambda o, z, dirs: np.einsum("ijk,j,k->i", T, *dirs))
+    return RegularizedModel(base, power, H)
 
 
 @settings(max_examples=24, deadline=None)
@@ -291,19 +290,15 @@ def test_default_path_agrees_with_peg_on_random_models(seed, kind, power, H, ord
     anchor = fs.sample(rng, 1)[0]
     if order == 2:
         m = random_model(rng, d, power, H, anchor=anchor)
-        peg = solve_model_vi(m, fs, tol, prefer="peg")
-        assert peg.residual <= tol
-        peg_point = peg.point
-        sol = solve_model_vi(m, fs, tol)
     else:
         # the order-3 regularizer power is 1 + nu, here nu = power / 2
         m = random_order3_model(rng, d, 1.0 + power / 2, 0.5 + H, anchor)
-        peg_point, res, _ = peg_callable(m, fs, anchor, tol, 200_000, 0.2)
-        assert res <= tol
-        sol = solve_tensor_subproblem(m, fs, tol)
+    peg = solve_model_vi(m, fs, tol, prefer="peg")
+    assert peg.residual <= tol
+    sol = solve_model_vi(m, fs, tol)
     assert sol.method == "newton"
     assert sol.residual <= tol
-    assert np.linalg.norm(peg_point - sol.point) <= 1e-6
+    assert np.linalg.norm(peg.point - sol.point) <= 1e-6
 
 
 def test_indefinite_jacobian_warns_and_falls_back():

@@ -1,5 +1,6 @@
 """Order-p models: remainder constant, subproblem, adaptive/universal runs."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -7,14 +8,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from holder_vi import subproblem, tensor
 from holder_vi.core import Operator, SolverConfig, WholeSpace
-from holder_vi.errors import ConfigError, UnsupportedOrder
+from holder_vi.errors import ConfigError, SubproblemFailure, UnsupportedOrder
+from holder_vi.linesearch import TrialRejected
 from holder_vi.metrics import bound_verdicts, c_p_nu
-from holder_vi.model import RegularizedModel
+from holder_vi.model import LinearModel, QuadraticModel, RegularizedModel
 from holder_vi.problems import default_start, make_power
 from holder_vi.solvers import run_nu_aren, run_uren
 from holder_vi.tensor import (
-    TensorModel,
     make_tensor_model,
     run_nu_aret,
     run_uret,
@@ -73,8 +75,10 @@ def test_order_two_model_is_the_second_order_type(power_nu1):
     z = default_start(power_nu1)
     m = make_tensor_model(power_nu1.operator, z, 2, 1.0, 2.0)
     assert isinstance(m, RegularizedModel)
+    assert isinstance(m.base, LinearModel)
     m3 = make_tensor_model(cubic_op(), np.ones(1), 3, 2.0, 1.0)
-    assert isinstance(m3, TensorModel)
+    assert isinstance(m3, RegularizedModel)
+    assert isinstance(m3.base, QuadraticModel)
 
 
 def test_taylor_keeps_terms_below_order(quartic, rng):
@@ -84,7 +88,7 @@ def test_taylor_keeps_terms_below_order(quartic, rng):
     op = quartic.operator
     m = make_tensor_model(op, np.zeros(4), 3, 1.5, 0.0)
     d = 0.3 * rng.standard_normal(4)
-    rem = op.value(d) - m.taylor(d)
+    rem = op.value(d) - m.base.taylor(d)
     expect = np.concatenate([(d[:2] @ d[:2]) * d[:2], (d[2:] @ d[2:]) * d[2:]])
     np.testing.assert_allclose(rem, expect, atol=1e-15)
 
@@ -107,14 +111,6 @@ def test_model_jacobian_matches_finite_difference(quartic, rng):
         e = np.eye(4)[j]
         fd = (m(z + h * e) - m(z - h * e)) / (2.0 * h)
         np.testing.assert_allclose(J[:, j], fd, atol=1e-6)
-
-
-def test_jacobian_unsupported_above_order_three():
-    m = TensorModel(anchor=np.zeros(1), order=4, value=np.ones(1),
-                    jacobian=np.eye(1), deriv=lambda o, z, dirs: np.zeros(1),
-                    power=3.0, H=1.0)
-    with pytest.raises(UnsupportedOrder):
-        m.jacobian_at(np.ones(1))
 
 
 def test_third_order_model_needs_the_oracle(power_nu1):
@@ -166,13 +162,39 @@ def test_order_two_subproblem_delegates(power_nu1):
 
 
 def test_order_above_three_is_unsupported():
-    m = TensorModel(anchor=np.zeros(2), order=4, value=np.array([1.0, 0.0]),
-                    jacobian=np.eye(2), deriv=lambda o, z, dirs: np.zeros(2),
-                    power=3.0, H=1.0)
-    with pytest.raises(UnsupportedOrder):
-        solve_tensor_subproblem(m, WholeSpace(2), 1e-8)
+    for p in (1, 4):
+        with pytest.raises(UnsupportedOrder):
+            make_tensor_model(cubic_op(), np.ones(1), p, 3.0, 1.0)
     with pytest.raises(ConfigError, match="p must be 2 or 3"):
         SolverConfig(method="nu-aret", H0=1.0, p=4)
+
+
+def test_order_three_inner_failure_rejects_the_trial(monkeypatch):
+    # a PEG budget of 3 evaluations cannot reach the tolerance
+    m = make_tensor_model(cubic_op(), np.array([1.0]), 3, 2.0, 2.0)
+    starved = functools.partial(subproblem.solve_model_vi, prefer="peg",
+                                peg_max_evals=3)
+    with pytest.raises(SubproblemFailure, match="residual"):
+        starved(m, WholeSpace(1), 1e-10)
+    monkeypatch.setattr(tensor, "solve_model_vi", starved)
+    with pytest.raises(TrialRejected, match="residual"):
+        solve_tensor_subproblem(m, WholeSpace(1), 1e-10)
+
+
+def test_order_three_fallback_runs_the_one_peg_call_site(monkeypatch):
+    calls, peg_regularized = [], subproblem.peg_regularized
+
+    def recorded(*args):
+        calls.append(args[1])
+        return peg_regularized(*args)
+
+    monkeypatch.setattr(subproblem, "newton_normal_map", lambda *a: None)
+    monkeypatch.setattr(subproblem, "peg_regularized", recorded)
+    m = make_tensor_model(cubic_op(), np.array([1.0]), 3, 2.0, 2.0)
+    sol = solve_tensor_subproblem(m, WholeSpace(1), 1e-10)
+    assert len(calls) == 1 and calls[0] is m
+    assert sol.method == "peg"
+    assert sol.point[0] == pytest.approx(0.5, abs=1e-8)
 
 
 # ------------------------------------------------------------ outer loops
