@@ -161,6 +161,21 @@ def test_order_two_subproblem_delegates(power_nu1):
     np.testing.assert_allclose(a.point, b.point, atol=1e-14)
 
 
+def test_jacobian_unsupported_above_order_three():
+    # an order-4 model, and so its Jacobian, is refused before the
+    # operator's own Jacobian is ever evaluated
+    calls = []
+    op = cubic_op()
+    jac = op.jac_fn
+    op = replace(op, jac_fn=lambda z: calls.append(z) or jac(z))
+    with pytest.raises(UnsupportedOrder, match="order 4"):
+        make_tensor_model(op, np.ones(1), 4, 3.0, 1.0)
+    assert calls == []
+    m = make_tensor_model(op, np.ones(1), 3, 3.0, 1.0)
+    assert len(calls) == 1
+    np.testing.assert_allclose(m.jacobian_at(np.ones(1)), 3.0 * np.eye(1))
+
+
 def test_order_above_three_is_unsupported():
     for p in (1, 4):
         with pytest.raises(UnsupportedOrder):
