@@ -5,9 +5,9 @@ Subcommands: ``solve`` runs one solver on one problem and writes
 log-log slope of the final gap; ``verify`` runs the self-check suite.
 
 Exit codes: 0 success, 1 verification failure, 2 solver or rate
-failure, 3 configuration error.  Every trace embeds the fully resolved
-configuration as ``# ``-prefixed INI lines, sufficient to re-run the
-identical experiment.
+failure, 3 configuration error; ``main`` maps raised errors to the last
+two.  Every trace embeds the fully resolved configuration as
+``# ``-prefixed INI lines, sufficient to re-run the identical experiment.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import METHODS, SolverConfig
 from .errors import ConfigError, HolderVIError
-from .metrics import c_p_nu, fit_rate_slope
+from .metrics import declared_ceiling, fit_rate_slope
 from .problems import ProblemInstance, default_start, parse_problem
 from .solvers import (
     RunResult,
@@ -45,9 +45,8 @@ _TRACE_COLUMNS = ("k", "i_k", "H_k", "gamma_k", "step_norm", "F_evals_cum",
                   "wall_ns")
 
 # [solver] keys in echo order; values marked "auto" accept that literal
-_SOLVER_KEYS = ("method", "nu", "H", "H0", "K", "eps", "p", "inner_tol",
-                "max_doublings", "step", "seed", "gap_cadence", "report_radius")
-_INT_KEYS = {"K", "p", "max_doublings", "seed", "gap_cadence"}
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
+_INT_KEYS = {f.name for f in fields(SolverConfig) if f.type in (int, "int")}
 _AUTO_KEYS = {"nu", "H", "H0", "step"}
 
 _DEFAULT_GRID = (16, 32, 64, 128, 256, 512, 1024)
@@ -132,17 +131,16 @@ def _parse_ini(text: str, source: str) -> dict:
 
 
 def _conforming_H0(instance: ProblemInstance, nu: float, p: int) -> float:
-    if p >= 3:
-        if instance.declared_H_p3 is None:
-            raise ConfigError(
-                f"problem {instance.name} declares no order-{p} constant; "
-                "pass an explicit --H0")
-        return c_p_nu(p, nu) * instance.declared_H_p3
-    if instance.declared_H <= 0:
+    H = instance.declared_H_p3 if p >= 3 else instance.declared_H
+    if H is None:
+        raise ConfigError(
+            f"problem {instance.name} declares no order-{p} constant; "
+            "pass an explicit --H0")
+    if H <= 0:
         raise ConfigError(
             f"declared constant of {instance.name} is zero; pass an "
             "explicit --H0")
-    return instance.declared_H / (1.0 + nu)
+    return declared_ceiling(p, nu, H) / 2.0
 
 
 def _resolve(args) -> tuple:
@@ -162,8 +160,6 @@ def _resolve(args) -> tuple:
     method = settings.pop("method", None)
     if method is None:
         raise ConfigError("no method given; use --method or a [solver] section")
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
 
     nu = settings.get("nu")
     if nu is None or nu == "auto":
@@ -291,15 +287,8 @@ def summary_payload(instance: ProblemInstance, cfg: SolverConfig,
 
 
 def cmd_solve(args) -> int:
-    try:
-        instance, cfg, outdir = _resolve(args)
-        res = execute(instance, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except HolderVIError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 2
+    instance, cfg, outdir = _resolve(args)
+    res = execute(instance, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     write_trace(outdir / "trace.csv", res, config_echo(instance, cfg))
     payload = summary_payload(instance, cfg, res)
@@ -311,51 +300,28 @@ def cmd_solve(args) -> int:
 
 
 def _slope_target(method: str, nu: float, p: int) -> float:
-    if method in ("nu-ren", "nu-aren"):
-        return -(2.0 + nu) / 2.0
-    if method == "uren":
-        return -3.0 * (1.0 + nu) / 4.0
-    if method == "nu-aret":
-        return -(p + nu) / 2.0
-    if method == "uret":
+    if method in ("uren", "uret"):
         return -3.0 * (p - 1.0 + nu) / 4.0
-    return -1.0  # extragradient
+    if method == "extragradient":
+        return -1.0
+    return -(p + nu) / 2.0
 
 
 def cmd_rates(args) -> int:
-    if args.selftest:
-        return _selftest(args.selftest)
-    try:
-        instance, cfg, outdir = _resolve(args)
-        grid = _parse_grid(args.grid)
-        tol = args.tol_slope
-        if tol is None:
-            tol = 0.3 if cfg.method in ("uren", "uret") else 0.25
-        target = _slope_target(cfg.method, cfg.nu, cfg.p)
+    instance, cfg, outdir = _resolve(args)
+    grid = _parse_grid(args.grid)
+    tol = args.tol_slope
+    if tol is None:
+        tol = 0.3 if cfg.method in ("uren", "uret") else 0.25
+    target = _slope_target(cfg.method, cfg.nu, cfg.p)
 
-        def one(K):
-            return execute(instance, replace(cfg, K=K)).final_gap
+    def one(K):
+        return execute(instance, replace(cfg, K=K)).final_gap
 
-        with ThreadPoolExecutor(max_workers=min(len(grid), os.cpu_count() or 1)) as pool:
-            gaps = list(pool.map(one, grid))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except HolderVIError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 2
-
+    with ThreadPoolExecutor(max_workers=min(len(grid), os.cpu_count() or 1)) as pool:
+        gaps = list(pool.map(one, grid))
     points = list(zip(grid, gaps))
-    kept = [(K, g) for K, g in points if g > 0]
-    for K, g in points:
-        if not g > 0:
-            print(f"warning: dropping K={K} with nonpositive gap {g!r}",
-                  file=sys.stderr)
-    try:
-        slope = fit_rate_slope(kept)
-    except HolderVIError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 2
+    slope = fit_rate_slope(points)
     passed = slope <= target + tol
 
     outdir.mkdir(parents=True, exist_ok=True)
@@ -387,31 +353,8 @@ def _parse_grid(raw: Optional[str]):
     return grid
 
 
-def _selftest(spec_text: str) -> int:
-    kind, _, raw = spec_text.partition(":")
-    if kind != "powerlaw" or not raw:
-        print(f"config error: unknown selftest {spec_text!r}; expected "
-              "powerlaw:<exponent>", file=sys.stderr)
-        return 3
-    try:
-        expo = float(raw)
-    except ValueError:
-        print(f"config error: bad selftest exponent {raw!r}", file=sys.stderr)
-        return 3
-    pts = [(K, float(K) ** expo) for K in _DEFAULT_GRID]
-    slope = fit_rate_slope(pts)
-    ok = abs(slope - expo) <= 1e-10
-    print(f"selftest powerlaw: fitted {slope:.12f} vs {expo} "
-          f"({'ok' if ok else 'MISMATCH'})")
-    return 0 if ok else 2
-
-
 def cmd_verify(args) -> int:
-    try:
-        results = run_checks(only=args.only, h_scale=args.scale_declared_h)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
+    results = run_checks(only=args.only, h_scale=args.scale_declared_h)
     print(format_table(results))
     return 0 if all_passed(results) else 1
 
@@ -457,7 +400,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--grid", help="comma-separated K values (default 16..1024)")
     sp.add_argument("--tol-slope", dest="tol_slope", type=float,
                     help="slope tolerance (default 0.25, universal 0.3)")
-    sp.add_argument("--selftest", help="synthetic fit check, e.g. powerlaw:-1.5")
     sp.set_defaults(fn=cmd_rates)
 
     sp = sub.add_parser("verify", help="run the self-verification suite")
@@ -471,7 +413,14 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 3
+    except HolderVIError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ generalized Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -59,8 +59,6 @@ class Operator:
     holder_const_p3 : float, optional
         Advertised Lipschitz constant of the second derivative, for maps
         that carry a third-order oracle.
-    monotone : bool
-        Whether the map is asserted monotone (checkable via check_monotone).
     """
 
     dim: int
@@ -70,7 +68,6 @@ class Operator:
     nu: Optional[float] = None
     holder_const: Optional[float] = None
     holder_const_p3: Optional[float] = None
-    monotone: bool = True
 
     def value(self, z: Array) -> Array:
         out = np.asarray(self.fn(z), dtype=np.float64)

@@ -125,6 +125,15 @@ def c_p_nu(p: int, nu: float) -> float:
     return math.gamma(1.0 + nu) / math.gamma(p + nu)
 
 
+def declared_ceiling(p: int, nu: float, H: float) -> float:
+    """Ceiling on the adaptive coefficient implied by a declared constant:
+    2 c_{p,nu} H at order 3, 2 H / (1 + nu) at order 2.  Half of it is
+    the Taylor remainder scale and the largest guaranteed start H0."""
+    if p >= 3:
+        return 2.0 * c_p_nu(p, nu) * H
+    return 2.0 * H / (1.0 + nu)
+
+
 def c_nu_constant(nu: float) -> float:
     """The analysis constant 1 - 1/(8(1+nu)^2); informational only."""
     return 1.0 - 1.0 / (8.0 * (1.0 + nu) ** 2)
@@ -187,8 +196,7 @@ def bound_verdicts(records, method: str, nu: float, declared_H: Optional[float],
             out["H_bound"] = Verdict(NOT_APPLICABLE, note=note)
             out["oracle_budget"] = Verdict(NOT_APPLICABLE, note=note)
         else:
-            ceiling = (2.0 * c_p_nu(p, nu) * declared_H if p >= 3
-                       else 2.0 * declared_H / (1.0 + nu))
+            ceiling = declared_ceiling(p, nu, declared_H)
             start_ok = H0 is not None and H0 <= ceiling / 2.0 * (1.0 + 1e-12)
             v = _leveled(max(h_states), ceiling, rel=1e-9)
             if not start_ok:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Ball, Box, WholeSpace, check_monotone, estimate_holder_constant
 from .errors import ConfigError
-from .metrics import c_nu_constant, c_p_nu, gap_upper_bound, grid_gap_max
+from .metrics import c_nu_constant, declared_ceiling, gap_upper_bound, grid_gap_max
 from .model import LinearModel, QuadraticModel, RegularizedModel
 from .problems import (
     ProblemInstance,
@@ -28,7 +28,7 @@ from .problems import (
     make_quartic_saddle,
 )
 from .solvers import SolverConfig, k_for_accuracy, run_nu_aren, run_uren
-from .subproblem import peg_callable, solve_model_vi
+from .subproblem import solve_model_vi
 from .tensor import run_nu_aret, run_uret
 
 GROUPS = ("monotone", "remainder", "holder", "jacobian", "geometry",
@@ -67,48 +67,35 @@ def planar_instances() -> List[ProblemInstance]:
 
 
 def remainder_sweep(inst: ProblemInstance, n_pairs: int = 10_000,
-                    seed: int = 0) -> float:
-    """Worst violation of |F(z')-F(z)-J(z)d| <= H |d|^{1+nu}/(1+nu).
+                    seed: int = 0, *, order: int = 2) -> float:
+    """Worst violation of the Taylor bound of the given order (2 or 3).
 
-    Returns max(remainder - bound - 1e-12 (1 + bound)) over sampled
-    pairs; nonpositive means the sweep is clean.
+    Order 2 checks |F(z')-F(z)-J(z)d| <= H |d|^{1+nu}/(1+nu), order 3
+    the second-order expansion against c_{3,nu} H_3 |d|^{2+nu}; both
+    scales are half of ``declared_ceiling``.  Returns max(remainder -
+    bound - 1e-12 (1 + bound)) over sampled pairs; nonpositive means the
+    sweep is clean.
     """
-    op, fs = inst.operator, inst.feasible
-    rng = np.random.default_rng(seed)
-    zs = fs.sample(rng, n_pairs)
-    zps = fs.sample(rng, n_pairs)
-    scale = inst.declared_H / (1.0 + inst.declared_nu)
-    worst = -np.inf
-    for z, zp in zip(zs, zps):
-        d = zp - z
-        dn = float(np.linalg.norm(d))
-        if dn == 0.0:
-            continue
-        rem = float(np.linalg.norm(op.value(zp) - op.value(z) - op.jacobian(z) @ d))
-        bound = scale * dn ** (1.0 + inst.declared_nu)
-        worst = max(worst, rem - bound - 1e-12 * (1.0 + bound))
-    return worst
-
-
-def tensor_remainder_sweep(inst: ProblemInstance, n_pairs: int = 10_000,
-                           seed: int = 0) -> float:
-    """Worst violation of the second-order Taylor bound c_{3,nu} H_3 |d|^{2+nu}."""
-    if inst.declared_H_p3 is None:
+    H = inst.declared_H_p3 if order == 3 else inst.declared_H
+    if H is None:
         raise ConfigError(f"{inst.name} declares no third-order constant")
     op, fs = inst.operator, inst.feasible
     rng = np.random.default_rng(seed)
     zs = fs.sample(rng, n_pairs)
     zps = fs.sample(rng, n_pairs)
-    scale = c_p_nu(3, inst.declared_nu) * inst.declared_H_p3
-    expo = 2.0 + inst.declared_nu
+    scale = declared_ceiling(order, inst.declared_nu, H) / 2.0
+    expo = order - 1.0 + inst.declared_nu
     worst = -np.inf
     for z, zp in zip(zs, zps):
         d = zp - z
         dn = float(np.linalg.norm(d))
         if dn == 0.0:
             continue
-        t2 = op.value(z) + op.jacobian(z) @ d + 0.5 * op.deriv_apply(2, z, (d, d))
-        rem = float(np.linalg.norm(op.value(zp) - t2))
+        if order == 3:
+            t2 = op.value(z) + op.jacobian(z) @ d + 0.5 * op.deriv_apply(2, z, (d, d))
+            rem = float(np.linalg.norm(op.value(zp) - t2))
+        else:
+            rem = float(np.linalg.norm(op.value(zp) - op.value(z) - op.jacobian(z) @ d))
         bound = scale * dn ** expo
         worst = max(worst, rem - bound - 1e-12 * (1.0 + bound))
     return worst
@@ -233,9 +220,8 @@ def _check_subproblem(out: List[CheckResult]) -> None:
         c = rng.standard_normal(d)
         model = RegularizedModel(LinearModel(np.zeros(d), c, J), 0.5, 1.3)
         newton = solve_model_vi(model, WholeSpace(d), 1e-10)
-        peg, _, _ = peg_callable(model, WholeSpace(d), np.zeros(d), 1e-10,
-                                 200_000, 3.0 * (np.linalg.norm(c) / 1.3) ** (1 / 1.5) + 1.0)
-        worst = max(worst, float(np.linalg.norm(newton.point - peg)))
+        peg = solve_model_vi(model, WholeSpace(d), 1e-10, prefer="peg")
+        worst = max(worst, float(np.linalg.norm(newton.point - peg.point)))
     out.append(CheckResult("subproblem", "newton vs extragradient, 100 random "
                            "d=10 whole-space", worst <= 1e-6,
                            f"worst point gap {worst:.2e}"))
@@ -326,7 +312,7 @@ def _check_bounds(out: List[CheckResult], insts: List[ProblemInstance]) -> None:
 
     inst = insts[0]  # power nu=0.5
     z0 = default_start(inst)
-    H0 = inst.declared_H / (1.0 + inst.declared_nu)
+    H0 = declared_ceiling(2, inst.declared_nu, inst.declared_H) / 2.0
     cfg = SolverConfig(method="nu-aren", nu=inst.declared_nu, H0=H0, K=30, eps=1e-6)
     res = run_nu_aren(inst.operator, inst.feasible, z0, cfg)
     hb = res.bound_checks["H_bound"]
@@ -393,7 +379,7 @@ def run_checks(only: Optional[str] = None, h_scale: float = 1.0) -> List[CheckRe
                                    w <= 0.0, f"worst slack-adjusted violation {w:+.2e}"))
         for inst in insts:
             if inst.declared_H_p3 is not None:
-                w = tensor_remainder_sweep(inst)
+                w = remainder_sweep(inst, order=3)
                 out.append(CheckResult("remainder", f"second-order sweep {inst.name}",
                                        w <= 0.0, f"worst violation {w:+.2e}"))
     if want("holder"):

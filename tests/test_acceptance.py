@@ -42,7 +42,6 @@ from holder_vi.verify import (
     planar_instances,
     remainder_sweep,
     suite_instances,
-    tensor_remainder_sweep,
 )
 
 GRID = (16, 32, 64, 128, 256, 512, 1024)
@@ -268,7 +267,7 @@ def test_declared_constants_hold():
     for inst in suite_instances():
         if inst.declared_H_p3 is None:
             continue
-        worst = tensor_remainder_sweep(inst, n_pairs=10_000)
+        worst = remainder_sweep(inst, order=3, n_pairs=10_000)
         ok = ok and worst <= 0.0
         details.append(f"{inst.name} p3 {worst:.1e}")
     _verdict("declared constants", ok, "worst margins " + ", ".join(details))

@@ -2,9 +2,11 @@
 
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from holder_vi import cli
 from holder_vi.cli import build_parser, main, parse_echo
 
 TRACE_HEADER = ("k,i_k,H_k,gamma_k,step_norm,F_evals_cum,J_evals_cum,"
@@ -135,6 +137,17 @@ def test_missing_required_constant_is_config_error(tmp_path, capsys):
     assert "H" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", [["--method", "nu-aren"],
+                                    ["--method", "nu-aret", "--p", "3"]],
+                         ids=["order2", "order3"])
+def test_auto_start_from_a_zero_constant_is_config_error(tmp_path, capsys, method):
+    # bilinear declares H = H_3 = 0, so no conforming start exists at either order
+    rc = main(["solve", "--problem", "bilinear:d=4", *method, "--H0", "auto",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "declared constant of bilinear" in capsys.readouterr().err
+
+
 def test_nonpositive_k_is_config_error(tmp_path):
     assert main(solve_args(tmp_path, "--K", "0")) == 3
 
@@ -248,12 +261,6 @@ def test_near_skew_ball_runs_certify_without_fallback(tmp_path, d):
 
 # -------------------------------------------------------------------- rates
 
-def test_rates_selftest_known_exponent(capsys):
-    assert main(["rates", "--selftest", "powerlaw:-1.5"]) == 0
-    assert "ok" in capsys.readouterr().out
-    assert main(["rates", "--selftest", "quadratic:2"]) == 3
-
-
 def test_rates_sweep_writes_slope_files(tmp_path):
     rc = main(["rates", "--problem", "power:d=3,nu=1,r=1", "--method",
                "nu-ren", "--H", "auto", "--grid", "8,12,16,24,32",
@@ -265,6 +272,29 @@ def test_rates_sweep_writes_slope_files(tmp_path):
     assert payload["grid"] == [8, 12, 16, 24, 32]
     rows = (tmp_path / "rates.csv").read_text().splitlines()
     assert "K,gap_avg" in rows
+
+
+def test_rates_with_too_few_positive_gaps_is_solver_error(tmp_path, capsys,
+                                                          monkeypatch):
+    # fit_rate_slope drops the nonpositive gaps with a warning each; three
+    # usable points are too few, and main maps the fit error to exit 2
+    gaps = {16: 1e-2, 32: 0.0, 64: 3e-3, 128: -1e-18, 256: 0.0, 512: 1e-4,
+            1024: 0.0}
+    monkeypatch.setattr(cli, "execute", lambda instance, cfg: SimpleNamespace(
+        final_gap=gaps[cfg.K]))
+    with pytest.warns(RuntimeWarning, match="dropping nonpositive gap") as rec:
+        rc = main(["rates", "--problem", "power:d=3", "--method", "nu-ren",
+                   "--H", "auto", "--out", str(tmp_path)])
+    assert rc == 2
+    assert len(rec) == 4
+    assert "solver error: only 3 usable points" in capsys.readouterr().err
+    assert not (tmp_path / "rates.json").exists()
+
+
+def test_rates_selftest_option_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["rates", "--selftest", "powerlaw:-1.5"])
+    assert exc.value.code == 3
 
 
 def test_rates_grid_validation(tmp_path):

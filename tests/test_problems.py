@@ -5,6 +5,7 @@ import pytest
 
 from holder_vi.core import Ball, Box
 from holder_vi.errors import ConfigError
+from holder_vi.metrics import gap_upper_bound
 from holder_vi.problems import (
     default_start,
     make_bilinear,
@@ -72,6 +73,15 @@ def test_bilinear_solution_is_interior_zero_of_f(bilinear):
     sol = bilinear.solution
     assert np.linalg.norm(bilinear.operator.value(sol)) <= 1e-9
     assert np.linalg.norm(sol) == pytest.approx(0.3, abs=1e-9)
+
+
+def test_bilinear_with_singular_coupling_has_certified_solution():
+    # scale 0 makes A, and with it F, vanish: every point solves the VI
+    inst = make_bilinear(6, 0.0, 1.0, 0)
+    np.testing.assert_array_equal(inst.operator.value(inst.solution), np.zeros(6))
+    assert inst.feasible.contains(inst.solution)
+    gap = gap_upper_bound(inst.operator, inst.feasible, inst.solution).gap_upper
+    assert gap == 0.0
 
 
 def test_bilinear_second_derivative_vanishes(bilinear):

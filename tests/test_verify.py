@@ -12,7 +12,6 @@ from holder_vi.verify import (
     remainder_sweep,
     run_checks,
     suite_instances,
-    tensor_remainder_sweep,
 )
 
 
@@ -32,7 +31,7 @@ def test_remainder_sweep_margin_is_negative(power_nu_half):
 
 
 def test_tensor_sweep_margin_is_negative(quartic):
-    assert tensor_remainder_sweep(quartic, n_pairs=2000) <= 0.0
+    assert remainder_sweep(quartic, order=3, n_pairs=2000) <= 0.0
 
 
 def test_finite_difference_jacobian_agrees(power_nu1):
