@@ -39,7 +39,13 @@ from .metrics import (
     grid_gap_max,
     theorem_bound_report,
 )
-from .model import LinearModel, RegularizedModel, build_linear_model, remainder_bound
+from .model import (
+    LinearModel,
+    RegularizedModel,
+    build_linear_model,
+    make_tensor_model,
+    remainder_bound,
+)
 from .problems import (
     ProblemInstance,
     default_start,
@@ -56,11 +62,12 @@ from .solvers import (
     k_for_accuracy,
     run_extragradient,
     run_nu_aren,
+    run_nu_aret,
     run_nu_ren,
     run_uren,
+    run_uret,
 )
 from .subproblem import gamma_of, natural_residual, prox_step, solve_model_vi
-from .tensor import make_tensor_model, run_nu_aret, run_uret
 
 __version__ = "0.1.0"
 

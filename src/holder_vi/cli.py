@@ -34,10 +34,11 @@ from .solvers import (
     RunResult,
     run_extragradient,
     run_nu_aren,
+    run_nu_aret,
     run_nu_ren,
     run_uren,
+    run_uret,
 )
-from .tensor import run_nu_aret, run_uret
 from .verify import GROUPS, all_passed, format_table, run_checks
 
 _TRACE_COLUMNS = ("k", "i_k", "H_k", "gamma_k", "step_norm", "F_evals_cum",

@@ -263,14 +263,16 @@ class SolverConfig:
             raise ConfigError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not (0.0 <= self.nu <= 1.0):
             raise ConfigError(f"nu must lie in [0, 1], got {self.nu}")
-        if self.H is not None and not (self.H > 0):
-            raise ConfigError(f"H must be positive, got {self.H}")
-        if self.H0 is not None and not (self.H0 > 0):
-            raise ConfigError(f"H0 must be positive, got {self.H0}")
+        if self.inner_tol is None:
+            object.__setattr__(self, "inner_tol", min(1e-10, self.eps * 1e-4))
+        for name in ("H", "H0", "eps", "inner_tol", "step", "report_radius"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not (isinstance(self.K, (int, np.integer)) and self.K >= 1):
             raise ConfigError(f"K must be a positive integer, got {self.K}")
-        if not (self.eps > 0):
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if not (isinstance(self.p, (int, np.integer)) and 2 <= self.p <= 3):
             raise ConfigError(f"p must be 2 or 3, got {self.p}")
         if self.p != 2 and self.method not in ("nu-aret", "uret"):
@@ -278,12 +280,6 @@ class SolverConfig:
                               f"got {self.p}")
         if self.max_doublings < 1:
             raise ConfigError("max_doublings must be at least 1")
-        if self.inner_tol is None:
-            object.__setattr__(self, "inner_tol", min(1e-10, self.eps * 1e-4))
-        if not (self.inner_tol > 0):
-            raise ConfigError(f"inner_tol must be positive, got {self.inner_tol}")
-        if self.step is not None and not (self.step > 0):
-            raise ConfigError(f"step must be positive, got {self.step}")
         if self.gap_cadence < 1:
             raise ConfigError("gap_cadence must be at least 1")
         if self.method == "nu-ren" and self.H is None:

@@ -6,8 +6,9 @@ and accepts iff the Taylor remainder at T obeys
     |F(T) - taylor(T)| <= (H/2) * |T - z|^e
 
 where the exponent e and the model's regularizer power depend on the
-search mode.  Accepted trials are returned with their F value so outer
-loops never re-evaluate.
+search mode.  The mode's order picks the Taylor base: linear at order 2,
+quadratic at order 3.  Accepted trials are returned with their F value so
+outer loops never re-evaluate.
 """
 
 from __future__ import annotations
@@ -17,47 +18,33 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from .core import Array, FeasibleSet, Operator
-from .errors import LineSearchExhausted
-from .model import RegularizedModel, build_linear_model
-from .subproblem import SubproblemSolution, solve_model_vi
+from .errors import LineSearchExhausted, SubproblemFailure
+from .model import RegularizedModel, build_linear_model, build_quadratic_model
+from .subproblem import solve_model_vi
 
 # Relative slack absorbing inner-solver inexactness; without it an exactly
 # affine operator can fail its own criterion on rounding noise.
 _CRITERION_SLACK = 1e-12
 
 
-class TrialRejected(Exception):
-    """Raised by a solve_trial closure to mean: treat this H as failed.
-
-    Third-order models can be non-monotone at small coefficients and defeat
-    the inner solver; doubling H restores monotonicity, so the search just
-    moves on.
-    """
-
-
 @dataclass(frozen=True)
 class SearchMode:
-    """Regularizer power and criterion exponent for one search flavor."""
+    """Model order, regularizer power and criterion exponent for one search
+    flavor: at order p, known-exponent searches regularize with power
+    p-2+nu and test exponent p-1+nu, universal ones with p-1 and p."""
 
     name: str
+    order: int
     reg_power: float
     criterion_exp: float
 
     @staticmethod
-    def holder(nu: float) -> "SearchMode":
-        return SearchMode("holder", nu, 1.0 + nu)
+    def holder(nu: float, p: int = 2) -> "SearchMode":
+        return SearchMode("holder", p, p - 2.0 + nu, p - 1.0 + nu)
 
     @staticmethod
-    def universal() -> "SearchMode":
-        return SearchMode("universal", 1.0, 2.0)
-
-    @staticmethod
-    def tensor(p: int, nu: float) -> "SearchMode":
-        return SearchMode("tensor", p - 2.0 + nu, p - 1.0 + nu)
-
-    @staticmethod
-    def tensor_universal(p: int) -> "SearchMode":
-        return SearchMode("tensor-universal", p - 1.0, float(p))
+    def universal(p: int = 2) -> "SearchMode":
+        return SearchMode("universal", p, p - 1.0, float(p))
 
 
 @dataclass
@@ -87,39 +74,34 @@ def criterion_accepts(lhs: float, rhs: float) -> bool:
 
 def search(op: Operator, feasible: FeasibleSet, z_k: Array, H_k: float,
            mode: SearchMode, inner_tol: float, max_doublings: int,
-           solve_trial: Optional[Callable[[float], SubproblemSolution]] = None,
-           base_eval: Optional[Callable[[Array], Array]] = None,
            gap_check: Optional[Callable[[Array, Array], float]] = None,
            gap_target: Optional[float] = None,
            counters=None) -> LineSearchOutcome:
     """Smallest i in {0..max_doublings} whose trial at H_k 2^i is accepted.
 
-    By default trials solve the second-order regularized model built at
-    z_k; third-order callers supply ``solve_trial``/``base_eval`` for their
-    own models.  When ``gap_check`` is given (universal modes) it is
-    evaluated at every trial point before the criterion, and a value
-    <= gap_target short-circuits the search with ``early_exit_gap`` set.
+    Every trial solves the order-``mode.order`` model built at z_k.  An
+    order-3 model can be non-monotone at small H and defeat the inner
+    solver: that trial is rejected (lhs = inf) and H doubles.  At order 2
+    an inner failure propagates.  When ``gap_check`` is given (universal
+    modes) it is evaluated at every trial point before the criterion, and
+    a value <= gap_target short-circuits the search (``early_exit_gap``).
     """
     if not H_k > 0:
         raise ValueError(f"H_k must be positive, got {H_k}")
-    if solve_trial is None:
-        base = build_linear_model(op, z_k)
-        base_eval = base
-
-        def solve_trial(H):
-            if counters is not None:
-                counters.subproblems += 1
-            return solve_model_vi(RegularizedModel(base, mode.reg_power, H),
-                                  feasible, inner_tol)
-    elif base_eval is None:
-        raise ValueError("solve_trial without base_eval")
+    build = build_linear_model if mode.order == 2 else build_quadratic_model
+    base = build(op, z_k)
 
     trials: List[Tuple[float, float, float]] = []
     for i in range(max_doublings + 1):
         H_trial = H_k * 2.0 ** i
+        if counters is not None:
+            counters.subproblems += 1
         try:
-            sol = solve_trial(H_trial)
-        except TrialRejected:
+            sol = solve_model_vi(RegularizedModel(base, mode.reg_power, H_trial),
+                                 feasible, inner_tol)
+        except SubproblemFailure:
+            if mode.order == 2:
+                raise
             trials.append((H_trial, float("inf"), 0.0))
             continue
         T = sol.point
@@ -134,7 +116,7 @@ def search(op: Operator, feasible: FeasibleSet, z_k: Array, H_k: float,
                                          trials=trials, f_at_accepted=fT,
                                          residual=sol.residual,
                                          early_exit_gap=g)
-        e = fT - base_eval(T)
+        e = fT - base(T)
         lhs = math.sqrt(e @ e)
         rhs = 0.5 * H_trial * step ** mode.criterion_exp
         trials.append((H_trial, lhs, rhs))

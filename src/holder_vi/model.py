@@ -23,6 +23,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import Array, Operator
+from .errors import UnsupportedOrder
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,23 @@ def build_linear_model(op: Operator, z: Array) -> LinearModel:
     """Linearize ``op`` at ``z``; costs one value and one Jacobian call."""
     return LinearModel(anchor=np.asarray(z, dtype=np.float64),
                        value=op.value(z), jacobian=op.jacobian(z))
+
+
+def build_quadratic_model(op: Operator, z: Array) -> QuadraticModel:
+    """Quadratic Taylor model of ``op`` at ``z``; one value and one Jacobian call."""
+    return QuadraticModel(anchor=np.asarray(z, dtype=np.float64),
+                          value=op.value(z), jacobian=op.jacobian(z),
+                          deriv=op.deriv_apply)
+
+
+def make_tensor_model(op: Operator, z: Array, p: int, power: float,
+                      H: float) -> RegularizedModel:
+    """Order-p regularized model at z: a linear base for p=2, a quadratic
+    one for p=3; any other order raises UnsupportedOrder."""
+    if p not in (2, 3):
+        raise UnsupportedOrder(f"order {p} models are not supported")
+    build = build_linear_model if p == 2 else build_quadratic_model
+    return RegularizedModel(build(op, z), power, H)
 
 
 def remainder_bound(nu: float, H: float, step_norm: float) -> float:

@@ -119,6 +119,8 @@ def make_bilinear(d: int, scale: float, radius: float, seed: int) -> ProblemInst
         raise ConfigError(f"bilinear problem needs even d >= 2, got {d}")
     if not radius > 0:
         raise ConfigError(f"bilinear problem needs radius > 0, got {radius}")
+    if seed < 0:
+        raise ConfigError(f"bilinear problem needs seed >= 0, got {seed}")
     m = d // 2
     rng = np.random.default_rng(seed)
     A = scale * rng.standard_normal((m, m))
@@ -171,6 +173,8 @@ def make_quartic_saddle(d: int, radius: float, seed: int) -> ProblemInstance:
         raise ConfigError(f"quartic problem needs even d >= 2, got {d}")
     if not radius > 0:
         raise ConfigError(f"quartic problem needs radius > 0, got {radius}")
+    if seed < 0:
+        raise ConfigError(f"quartic problem needs seed >= 0, got {seed}")
     m = d // 2
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, m))
@@ -316,6 +320,9 @@ def parse_problem(text: str) -> ProblemInstance:
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value {raw.strip()!r} for key {key!r}") from exc
+            if not math.isfinite(kwargs[key]):
+                raise ConfigError(
+                    f"bad value {raw.strip()!r} for key {key!r}: not finite")
     # builders name the radius argument in full
     if "r" in kwargs:
         kwargs["radius"] = kwargs.pop("r")

@@ -1,5 +1,5 @@
-"""Outer loops: fixed-coefficient and adaptive extra-Newton runs plus an
-extragradient baseline.
+"""Outer loops: fixed-coefficient, adaptive and universal extra-Newton runs
+of order 2 and 3, plus an extragradient baseline.
 
 Each iteration solves a regularized model VI for the half step, takes a
 projected prox step weighted by gamma = H * step^power, and maintains the
@@ -245,20 +245,15 @@ def _drive(method: str, op: Operator, feasible: FeasibleSet, z0: Array,
 
 
 def _search_step(feasible: FeasibleSet, mode: SearchMode, cfg: SolverConfig,
-                 eps_exit: Optional[float] = None,
-                 trials: Optional[Callable] = None) -> Callable:
+                 eps_exit: Optional[float] = None) -> Callable:
     """Half step of the line-search methods: ``search`` from the carried H.
 
-    By default trials use the second-order regularized model;
-    ``trials(cop, z)`` may supply the ``solve_trial``/``base_eval``
-    keywords of ``search`` for other models.  ``eps_exit`` switches on
-    the universal early exit.
+    ``eps_exit`` switches on the universal early exit.
     """
     def half_step(cop, z, H, probe):
         out = search(cop, feasible, z, H, mode, cfg.inner_tol, cfg.max_doublings,
                      gap_check=probe.from_value if eps_exit is not None else None,
-                     gap_target=eps_exit, counters=cop.counters,
-                     **(trials(cop, z) if trials is not None else {}))
+                     gap_target=eps_exit, counters=cop.counters)
         return _Half(out.accepted_point, out.f_at_accepted, out.step_norm,
                      gamma_of(out.H_trial, mode.reg_power, out.step_norm),
                      out.H_trial, out.i_k, out.early_exit_gap)
@@ -297,6 +292,21 @@ def run_uren(op: Operator, feasible: FeasibleSet, z0: Array,
     """Universal run (power 1, e = 2) with gap early exit at cfg.eps."""
     return _drive("uren", op, feasible, z0, cfg,
                   _search_step(feasible, SearchMode.universal(), cfg, eps_exit=cfg.eps))
+
+
+def run_nu_aret(op: Operator, feasible: FeasibleSet, z0: Array,
+                cfg: SolverConfig) -> RunResult:
+    """Adaptive order-p run: criterion exponent p-1+nu, gamma power p-2+nu."""
+    return _drive("nu-aret", op, feasible, z0, cfg,
+                  _search_step(feasible, SearchMode.holder(cfg.nu, cfg.p), cfg))
+
+
+def run_uret(op: Operator, feasible: FeasibleSet, z0: Array,
+             cfg: SolverConfig) -> RunResult:
+    """Universal order-p run: regularizer power p-1, criterion exponent p."""
+    return _drive("uret", op, feasible, z0, cfg,
+                  _search_step(feasible, SearchMode.universal(cfg.p), cfg,
+                               eps_exit=cfg.eps))
 
 
 def estimate_lipschitz(op: Operator, feasible: FeasibleSet, n_samples: int = 200,

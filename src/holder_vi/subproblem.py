@@ -89,8 +89,8 @@ def _newton(model, feasible: FeasibleSet, tol: float, x: Array):
         try:
             s = np.linalg.solve(G, -r)
         except np.linalg.LinAlgError:
-            reason = "singular Newton matrix"
-            break
+            # singular G: the least-squares step, still backtracked on |r|
+            s = np.linalg.lstsq(G, -r, rcond=None)[0]
         steps += 1
         a = 1.0
         for _ in range(_ARMIJO_TRIALS):

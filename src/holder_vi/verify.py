@@ -27,9 +27,15 @@ from .problems import (
     make_power,
     make_quartic_saddle,
 )
-from .solvers import SolverConfig, k_for_accuracy, run_nu_aren, run_uren
+from .solvers import (
+    SolverConfig,
+    k_for_accuracy,
+    run_nu_aren,
+    run_nu_aret,
+    run_uren,
+    run_uret,
+)
 from .subproblem import solve_model_vi
-from .tensor import run_nu_aret, run_uret
 
 GROUPS = ("monotone", "remainder", "holder", "jacobian", "geometry",
           "subproblem", "reduction", "bounds", "gap")

@@ -33,11 +33,12 @@ from holder_vi.solvers import (
     k_for_accuracy,
     run_extragradient,
     run_nu_aren,
+    run_nu_aret,
     run_nu_ren,
     run_uren,
+    run_uret,
 )
 from holder_vi.subproblem import peg_callable, solve_model_vi
-from holder_vi.tensor import run_nu_aret, run_uret
 from holder_vi.verify import (
     planar_instances,
     remainder_sweep,

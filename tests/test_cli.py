@@ -152,6 +152,17 @@ def test_nonpositive_k_is_config_error(tmp_path):
     assert main(solve_args(tmp_path, "--K", "0")) == 3
 
 
+@pytest.mark.parametrize("extra", [
+    ["--seed", "-1"], ["--eps", "inf"], ["--inner-tol", "inf"],
+    ["--problem", "quartic:d=4,seed=-1"], ["--problem", "bilinear:d=4,seed=-1"],
+    ["--problem", "bilinear:d=4,scale=nan"], ["--problem", "power:d=3,r=inf"],
+])
+def test_bad_outside_input_is_config_error(tmp_path, capsys, extra):
+    assert main(solve_args(tmp_path, *extra)) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_order_on_second_order_method_is_config_error(tmp_path, capsys):
     rc = main(["solve", "--problem", "quartic:d=4", "--method", "nu-aren",
                "--H0", "auto", "--p", "3", "--K", "10", "--out", str(tmp_path)])

@@ -235,6 +235,14 @@ def test_config_rejects_bad_scalars():
         SolverConfig(method="nu-ren", H=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(method="uren", H0=0.0)
+    inf, nan = float("inf"), float("nan")
+    for key in ("H", "H0", "eps", "inner_tol", "step", "report_radius"):
+        for bad in (inf, nan):
+            with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+                SolverConfig(method="nu-ren", **{"H": 1.0, key: bad})
+    for bad in (-1, 0.5):
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            SolverConfig(method="extragradient", seed=bad)
 
 
 def test_config_is_frozen():

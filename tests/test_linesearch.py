@@ -3,18 +3,11 @@
 import numpy as np
 import pytest
 
-from holder_vi.errors import LineSearchExhausted
-from holder_vi.linesearch import (
-    SearchMode,
-    TrialRejected,
-    criterion_accepts,
-    next_H,
-    search,
-)
-from holder_vi.model import RegularizedModel, build_linear_model
+from holder_vi import linesearch, subproblem
+from holder_vi.errors import LineSearchExhausted, SubproblemFailure
+from holder_vi.linesearch import SearchMode, criterion_accepts, next_H, search
 from holder_vi.problems import default_start, make_piecewise, make_power
 from holder_vi.solvers import Counters
-from holder_vi.subproblem import solve_model_vi
 
 
 def test_search_modes_encode_power_and_exponent():
@@ -22,10 +15,10 @@ def test_search_modes_encode_power_and_exponent():
     assert (m.reg_power, m.criterion_exp) == (0.5, 1.5)
     m = SearchMode.universal()
     assert (m.reg_power, m.criterion_exp) == (1.0, 2.0)
-    m = SearchMode.tensor(3, 0.5)
-    assert (m.reg_power, m.criterion_exp) == (1.5, 2.5)
-    m = SearchMode.tensor_universal(3)
-    assert (m.reg_power, m.criterion_exp) == (2.0, 3.0)
+    m = SearchMode.holder(0.5, p=3)
+    assert (m.order, m.reg_power, m.criterion_exp) == (3, 1.5, 2.5)
+    m = SearchMode.universal(3)
+    assert (m.order, m.reg_power, m.criterion_exp) == (3, 2.0, 3.0)
 
 
 def test_next_h_fixtures():
@@ -100,24 +93,41 @@ def test_wrong_exponent_class_exhausts_budget():
                SearchMode.holder(1.0), 1e-10, 3)
 
 
-def test_rejected_trials_count_as_failures(power_nu1):
-    z = default_start(power_nu1)
-    mode = SearchMode.holder(1.0)
-    base = build_linear_model(power_nu1.operator, z)
+def starve_first_solve(monkeypatch):
+    """Make the search's first inner solve fail: a PEG budget of 3
+    evaluations cannot reach the tolerance.  Returns the list of
+    coefficients the search solved at."""
     calls = []
 
-    def solve_trial(H):
-        calls.append(H)
+    def solve(model, feasible, tol):
+        calls.append(model.H)
         if len(calls) == 1:
-            raise TrialRejected("first trial rejected by hand")
-        return solve_model_vi(RegularizedModel(base, mode.reg_power, H),
-                              power_nu1.feasible, 1e-10)
+            return subproblem.solve_model_vi(model, feasible, tol, prefer="peg",
+                                             peg_max_evals=3)
+        return subproblem.solve_model_vi(model, feasible, tol)
 
-    out = search(power_nu1.operator, power_nu1.feasible, z, 4.0, mode, 1e-10,
-                 60, solve_trial=solve_trial, base_eval=base)
+    monkeypatch.setattr(linesearch, "solve_model_vi", solve)
+    return calls
+
+
+def test_rejected_trials_count_as_failures(quartic, monkeypatch):
+    # an order-3 inner failure rejects the trial and the search doubles H
+    calls = starve_first_solve(monkeypatch)
+    counters = Counters()
+    out = search(quartic.operator, quartic.feasible, default_start(quartic), 4.0,
+                 SearchMode.holder(1.0, p=3), 1e-10, 60, counters=counters)
     assert out.i_k == 1
-    assert out.trials[0][1] == np.inf
+    assert out.trials[0] == (4.0, np.inf, 0.0)
     assert calls == [4.0, 8.0]
+    assert counters.subproblems == 2
+
+
+def test_order_two_inner_failure_ends_the_search(power_nu1, monkeypatch):
+    calls = starve_first_solve(monkeypatch)
+    with pytest.raises(SubproblemFailure, match="residual"):
+        search(power_nu1.operator, power_nu1.feasible, default_start(power_nu1),
+               4.0, SearchMode.holder(1.0), 1e-10, 60)
+    assert calls == [4.0]
 
 
 def test_gap_check_short_circuits(power_nu1):
@@ -143,7 +153,3 @@ def test_search_input_validation(power_nu1):
     with pytest.raises(ValueError):
         search(power_nu1.operator, power_nu1.feasible, z, 0.0,
                SearchMode.holder(1.0), 1e-10, 60)
-    with pytest.raises(ValueError):
-        search(power_nu1.operator, power_nu1.feasible, z, 1.0,
-               SearchMode.holder(1.0), 1e-10, 60,
-               solve_trial=lambda H: None)

@@ -214,6 +214,13 @@ def test_parse_errors_name_the_offender():
         parse_problem("power:d=five")
     with pytest.raises(ConfigError, match="malformed"):
         parse_problem("power:d")
+    for text in ("power:r=inf", "power:nu=nan", "bilinear:d=4,scale=nan",
+                 "piecewise:L=-inf"):
+        with pytest.raises(ConfigError, match="not finite"):
+            parse_problem(text)
+    for family in ("bilinear", "quartic"):
+        with pytest.raises(ConfigError, match="seed >= 0"):
+            parse_problem(f"{family}:d=4,seed=-1")
 
 
 def test_instance_names_round_trip(instances):

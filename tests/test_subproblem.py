@@ -148,6 +148,30 @@ def test_near_skew_ball_model_with_interior_solution_takes_newton():
     np.testing.assert_allclose(sol.point, anchor + step, atol=1e-8)
 
 
+@pytest.mark.parametrize("m", [3, 50])
+def test_singular_newton_matrix_takes_least_squares_step(m):
+    # a skew bilinear model with a zero row and column in A: M, and so the
+    # whole-space Newton matrix, is singular.  The least-squares step
+    # certifies at once; stopping at the singular matrix left PEG to grind
+    # (27,611 evaluations at m=3, failure after 40,000 at m=50).
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((m, m))
+    A[-1, :] = 0.0
+    A[:, -1] = 0.0
+    d = 2 * m
+    M = np.zeros((d, d))
+    M[:m, m:] = A
+    M[m:, :m] = -A.T
+    q = 0.05 * M @ rng.standard_normal(d)
+    model = RegularizedModel(LinearModel(np.zeros(d), q, M), 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_model_vi(model, Ball(d, np.zeros(d), 1.0), 1e-10)
+    assert sol.method == "newton"
+    assert sol.evals == 1
+    assert sol.residual <= 1e-10
+
+
 def test_prefer_accepts_only_none_and_peg():
     m = scalar_model(0.0, 1.0, 1.0)
     for prefer in ("secular", "newton", ""):

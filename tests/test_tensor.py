@@ -1,6 +1,5 @@
 """Order-p models: remainder constant, subproblem, adaptive/universal runs."""
 
-import functools
 import math
 from dataclasses import replace
 
@@ -8,20 +7,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from holder_vi import subproblem, tensor
+from holder_vi import linesearch, subproblem
 from holder_vi.core import Operator, SolverConfig, WholeSpace
-from holder_vi.errors import ConfigError, SubproblemFailure, UnsupportedOrder
-from holder_vi.linesearch import TrialRejected
+from holder_vi.errors import ConfigError, UnsupportedOrder
 from holder_vi.metrics import bound_verdicts, c_p_nu
-from holder_vi.model import LinearModel, QuadraticModel, RegularizedModel
-from holder_vi.problems import default_start, make_power
-from holder_vi.solvers import run_nu_aren, run_uren
-from holder_vi.tensor import (
+from holder_vi.model import (
+    LinearModel,
+    QuadraticModel,
+    RegularizedModel,
+    build_linear_model,
     make_tensor_model,
-    run_nu_aret,
-    run_uret,
-    solve_tensor_subproblem,
 )
+from holder_vi.problems import default_start
+from holder_vi.solvers import run_nu_aren, run_nu_aret, run_uren, run_uret
+from holder_vi.subproblem import solve_model_vi
 
 
 def cubic_op():
@@ -118,7 +117,7 @@ def test_third_order_model_needs_the_oracle(power_nu1):
     m = make_tensor_model(power_nu1.operator, default_start(power_nu1), 3,
                           1.5, 1.0)
     with pytest.raises(UnsupportedOrder):
-        solve_tensor_subproblem(m, power_nu1.feasible, 1e-8)
+        solve_model_vi(m, power_nu1.feasible, 1e-8)
 
 
 # -------------------------------------------------------------- subproblem
@@ -127,7 +126,7 @@ def test_scalar_cubic_well_conditioned_root():
     # anchor 1, H = 2: model 1 + 3d + 3d^2 + 2|d|^2 d = (2d+1)(d^2+d+1) on
     # d < 0, a simple root at d = -0.5; solver and bisection agree tightly
     m = make_tensor_model(cubic_op(), np.array([1.0]), 3, 2.0, 2.0)
-    sol = solve_tensor_subproblem(m, WholeSpace(1), 1e-10)
+    sol = solve_model_vi(m, WholeSpace(1), 1e-10)
     root = bisect_root(m, -3.0, 0.9)
     assert abs(sol.point[0] - root) <= 1e-8
     assert sol.point[0] == pytest.approx(0.5, abs=1e-8)
@@ -138,7 +137,7 @@ def test_scalar_cubic_triple_root():
     # triple root move like cbrt of the evaluation noise (~1e-16^(1/3)), so
     # 1e-4 is the honest float64 agreement scale here.
     m = make_tensor_model(cubic_op(), np.array([1.0]), 3, 2.0, 1.0)
-    sol = solve_tensor_subproblem(m, WholeSpace(1), 1e-10)
+    sol = solve_model_vi(m, WholeSpace(1), 1e-10)
     root = bisect_root(m, -3.0, 0.9)
     assert abs(root) <= 1e-4
     assert abs(sol.point[0]) <= 1e-4
@@ -147,18 +146,18 @@ def test_scalar_cubic_triple_root():
 
 def test_anchor_solves_when_value_zero():
     m = make_tensor_model(cubic_op(), np.zeros(1), 3, 2.0, 1.0)
-    sol = solve_tensor_subproblem(m, WholeSpace(1), 1e-10)
+    sol = solve_model_vi(m, WholeSpace(1), 1e-10)
     assert sol.point[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_order_two_subproblem_delegates(power_nu1):
-    from holder_vi.subproblem import solve_model_vi
-
-    z = default_start(power_nu1)
-    m = make_tensor_model(power_nu1.operator, z, 2, 1.0, 2.0)
-    a = solve_tensor_subproblem(m, power_nu1.feasible, 1e-10)
-    b = solve_model_vi(m, power_nu1.feasible, 1e-10)
-    np.testing.assert_allclose(a.point, b.point, atol=1e-14)
+    # the order-2 model is the second-order line search's model
+    op, z = power_nu1.operator, default_start(power_nu1)
+    m = make_tensor_model(op, z, 2, 1.0, 2.0)
+    ref = RegularizedModel(build_linear_model(op, z), 1.0, 2.0)
+    a = solve_model_vi(m, power_nu1.feasible, 1e-10)
+    b = solve_model_vi(ref, power_nu1.feasible, 1e-10)
+    assert np.array_equal(a.point, b.point)
 
 
 def test_jacobian_unsupported_above_order_three():
@@ -184,16 +183,26 @@ def test_order_above_three_is_unsupported():
         SolverConfig(method="nu-aret", H0=1.0, p=4)
 
 
-def test_order_three_inner_failure_rejects_the_trial(monkeypatch):
-    # a PEG budget of 3 evaluations cannot reach the tolerance
-    m = make_tensor_model(cubic_op(), np.array([1.0]), 3, 2.0, 2.0)
-    starved = functools.partial(subproblem.solve_model_vi, prefer="peg",
-                                peg_max_evals=3)
-    with pytest.raises(SubproblemFailure, match="residual"):
-        starved(m, WholeSpace(1), 1e-10)
-    monkeypatch.setattr(tensor, "solve_model_vi", starved)
-    with pytest.raises(TrialRejected, match="residual"):
-        solve_tensor_subproblem(m, WholeSpace(1), 1e-10)
+def test_order_three_inner_failure_rejects_the_trial(quartic, monkeypatch):
+    # from H0 = 2 the first trial is accepted; when its inner solve fails
+    # (a PEG budget of 3 evaluations) the run doubles H instead of ending
+    cfg = SolverConfig(method="nu-aret", nu=1.0, H0=2.0, K=1, p=3)
+    args = (quartic.operator, quartic.feasible, default_start(quartic), cfg)
+    assert run_nu_aret(*args).records[0].i_k == 0
+    calls = []
+
+    def starved(model, feasible, tol):
+        calls.append(model.H)
+        budget = {"prefer": "peg", "peg_max_evals": 3} if len(calls) == 1 else {}
+        return subproblem.solve_model_vi(model, feasible, tol, **budget)
+
+    monkeypatch.setattr(linesearch, "solve_model_vi", starved)
+    run = run_nu_aret(*args)
+    assert calls == [2.0, 4.0]
+    assert run.records[0].i_k == 1
+    # the rejected trial is billed as a subproblem but never evaluates F
+    assert run.counters.subproblems == 2
+    assert run.counters.f_evals == 2
 
 
 def test_order_three_fallback_runs_the_one_peg_call_site(monkeypatch):
@@ -206,7 +215,7 @@ def test_order_three_fallback_runs_the_one_peg_call_site(monkeypatch):
     monkeypatch.setattr(subproblem, "newton_normal_map", lambda *a: None)
     monkeypatch.setattr(subproblem, "peg_regularized", recorded)
     m = make_tensor_model(cubic_op(), np.array([1.0]), 3, 2.0, 2.0)
-    sol = solve_tensor_subproblem(m, WholeSpace(1), 1e-10)
+    sol = solve_model_vi(m, WholeSpace(1), 1e-10)
     assert len(calls) == 1 and calls[0] is m
     assert sol.method == "peg"
     assert sol.point[0] == pytest.approx(0.5, abs=1e-8)
