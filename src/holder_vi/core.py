@@ -53,7 +53,8 @@ class Operator:
     deriv_fn : callable, optional
         (order, z, dirs) -> derivative tensor of F applied to the listed
         directions; order 2 with dirs (u, v) must return the vector
-        D^2 F(z)[u, v].  Needed only by third-order methods.
+        D^2 F(z)[u, v], and with a (dim, k) matrix v the (dim, k) matrix of
+        columns D^2 F(z)[u, v[:, j]].  Needed only by third-order methods.
     nu, holder_const : float, optional
         Advertised Holder exponent / constant of the Jacobian; informational.
     holder_const_p3 : float, optional
@@ -88,7 +89,7 @@ class Operator:
         if self.deriv_fn is None:
             raise UnsupportedOrder(f"operator has no derivative of order {order}")
         out = np.asarray(self.deriv_fn(order, z, dirs), dtype=np.float64)
-        if out.shape != (self.dim,) or not np.all(np.isfinite(out)):
+        if out.shape != (self.dim, *np.shape(dirs[-1])[1:]) or not np.all(np.isfinite(out)):
             raise EvaluationError(f"derivative of order {order} not finite at z={z!r}")
         return out
 

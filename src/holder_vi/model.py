@@ -6,11 +6,12 @@ from the anchor.  ``RegularizedModel`` adds the radial term
 H * |d|^power * d to either base; with power 0 the coefficient is
 constant (0^0 = 1, so the step-zero value is still well defined).  Each
 model's ``jacobian_at`` is its exact Jacobian, which the semismooth
-Newton inner solver needs.  A line
-search builds one base per outer iteration and regularizes it once per
-trial, so the base caches what every trial's solve reads of J: its norm
-and, for linear models, the smallest eigenvalue of its symmetric part
-(the monotonicity check).
+Newton inner solver needs; a quadratic base gets its D²F[d, ·] part from
+one D²F call on the identity matrix of directions.  A line search builds
+one base per outer iteration and regularizes it once per trial, so the
+base caches what every trial's solve reads of J: its norm and, for
+linear models, the smallest eigenvalue of its symmetric part (the
+monotonicity check).
 """
 
 from __future__ import annotations
@@ -70,12 +71,9 @@ class QuadraticModel(_TaylorBase):
         return self.value + self.jacobian @ d + self.deriv(2, self.anchor, (d, d)) / 2.0
 
     def jacobian_at(self, z: Array) -> Array:
-        """J plus the columns D²F[d, e_j], one D²F call each."""
+        """J + D²F[d, I]: the columns D²F[d, e_j] from one D²F call."""
         d = z - self.anchor
-        out = self.jacobian.copy()
-        for j, e in enumerate(np.eye(d.shape[0])):
-            out[:, j] += self.deriv(2, self.anchor, (d, e))
-        return out
+        return self.jacobian + self.deriv(2, self.anchor, (d, np.eye(d.shape[0])))
 
 
 @dataclass(frozen=True)

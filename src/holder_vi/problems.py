@@ -62,6 +62,15 @@ class ProblemInstance:
     notes: str = ""
 
 
+def _check_floats(family: str, positive: tuple, **params: float) -> None:
+    """ConfigError at the first parameter not finite, or not > 0 if in ``positive``."""
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"bad value {value!r} for {family} {key}: not finite")
+        if key in positive and not value > 0:
+            raise ConfigError(f"{family} problem needs {key} > 0, got {value}")
+
+
 def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -78,12 +87,11 @@ def make_power(d: int, nu: float, radius: float) -> ProblemInstance:
     """
     if d < 1:
         raise ConfigError(f"power problem needs d >= 1, got {d}")
+    _check_floats("power", ("radius",), nu=nu, radius=radius)
     if not (0.0 < nu <= 1.0):
         raise ConfigError(
             f"power problem needs nu in (0, 1], got {nu}; use the piecewise "
             "family for the nu = 0 regime")
-    if not radius > 0:
-        raise ConfigError(f"power problem needs radius > 0, got {radius}")
 
     def fn(z):
         return math.sqrt(z @ z) ** nu * z
@@ -117,8 +125,7 @@ def make_bilinear(d: int, scale: float, radius: float, seed: int) -> ProblemInst
     """
     if d < 2 or d % 2:
         raise ConfigError(f"bilinear problem needs even d >= 2, got {d}")
-    if not radius > 0:
-        raise ConfigError(f"bilinear problem needs radius > 0, got {radius}")
+    _check_floats("bilinear", ("radius",), scale=scale, radius=radius)
     if seed < 0:
         raise ConfigError(f"bilinear problem needs seed >= 0, got {seed}")
     m = d // 2
@@ -142,7 +149,7 @@ def make_bilinear(d: int, scale: float, radius: float, seed: int) -> ProblemInst
     def deriv(order, z, dirs):
         if order != 2:
             raise ConfigError(f"bilinear oracle supports order 2 only, got {order}")
-        return np.zeros(d)
+        return np.zeros((d, *np.shape(dirs[-1])[1:]))
 
     feasible = Ball(d, np.zeros(d), radius)
     exact = RegularizedModel(LinearModel(np.zeros(d), q, M), 1.0, 0.0)
@@ -171,8 +178,7 @@ def make_quartic_saddle(d: int, radius: float, seed: int) -> ProblemInstance:
     """
     if d < 2 or d % 2:
         raise ConfigError(f"quartic problem needs even d >= 2, got {d}")
-    if not radius > 0:
-        raise ConfigError(f"quartic problem needs radius > 0, got {radius}")
+    _check_floats("quartic", ("radius",), radius=radius)
     if seed < 0:
         raise ConfigError(f"quartic problem needs seed >= 0, got {seed}")
     m = d // 2
@@ -193,6 +199,8 @@ def make_quartic_saddle(d: int, radius: float, seed: int) -> ProblemInstance:
         return J
 
     def block_d2(w, u, v):
+        if v.ndim == 2:
+            return 2.0 * ((w @ u) * v + np.outer(u, w @ v) + np.outer(w, u @ v))
         return 2.0 * ((w @ u) * v + (w @ v) * u + (u @ v) * w)
 
     def deriv(order, z, dirs):
@@ -226,10 +234,7 @@ def make_piecewise(d: int, L: float, radius: float) -> ProblemInstance:
     """
     if d < 1:
         raise ConfigError(f"piecewise problem needs d >= 1, got {d}")
-    if not L > 0:
-        raise ConfigError(f"piecewise problem needs L > 0, got {L}")
-    if not radius > 0:
-        raise ConfigError(f"piecewise problem needs radius > 0, got {radius}")
+    _check_floats("piecewise", ("L", "radius"), L=L, radius=radius)
     s = 0.5 * radius
 
     def fn(z):
@@ -320,10 +325,6 @@ def parse_problem(text: str) -> ProblemInstance:
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value {raw.strip()!r} for key {key!r}") from exc
-            if not math.isfinite(kwargs[key]):
-                raise ConfigError(
-                    f"bad value {raw.strip()!r} for key {key!r}: not finite")
-    # builders name the radius argument in full
-    if "r" in kwargs:
-        kwargs["radius"] = kwargs.pop("r")
+    # every family has the key r; builders name the radius argument in full
+    kwargs["radius"] = kwargs.pop("r")
     return builder(**kwargs)

@@ -271,7 +271,7 @@ def _random_order3_model(rng, anchor: np.ndarray) -> RegularizedModel:
     T *= 0.5 / np.linalg.norm(T)
     base = QuadraticModel(anchor, rng.standard_normal(d),
                           _psd_plus_skew(rng, d) + 0.5 * np.eye(d),
-                          lambda o, z, dirs: np.einsum("ijk,j,k->i", T, *dirs))
+                          lambda o, z, dirs: np.einsum("ijk,j,k...->i...", T, *dirs))
     return RegularizedModel(base, 1.0, 1.0 + rng.random())
 
 

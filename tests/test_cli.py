@@ -152,6 +152,16 @@ def test_nonpositive_k_is_config_error(tmp_path):
     assert main(solve_args(tmp_path, "--K", "0")) == 3
 
 
+def test_order_three_bills_one_second_derivative_per_newton_jacobian(tmp_path):
+    # each Newton Jacobian of an order-3 model is one D2F call, not d of them
+    # (4,632 calls when the d=64 columns were billed one by one)
+    assert main(["solve", "--problem", "quartic:d=64", "--method", "nu-aret",
+                 "--p", "3", "--H0", "auto", "--K", "10", "--seed", "0",
+                 "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "summary.json").read_text())
+    assert payload["counters"]["D_evals"] == 222
+
+
 @pytest.mark.parametrize("extra", [
     ["--seed", "-1"], ["--eps", "inf"], ["--inner-tol", "inf"],
     ["--problem", "quartic:d=4,seed=-1"], ["--problem", "bilinear:d=4,seed=-1"],

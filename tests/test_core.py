@@ -84,6 +84,16 @@ def test_deriv_apply_order_one_uses_jacobian():
     np.testing.assert_allclose(out, [2.0, 3.0])
 
 
+def test_deriv_apply_matrix_direction_needs_matrix_result():
+    # a (dim,) answer to a (dim, k) matrix of directions is the wrong shape
+    op = Operator(dim=2, fn=lambda z: z, jac_fn=lambda z: np.eye(2),
+                  deriv_fn=lambda o, z, dirs: np.zeros(2))
+    with pytest.raises(EvaluationError):
+        op.deriv_apply(2, np.zeros(2), (np.ones(2), np.eye(2)))
+    np.testing.assert_array_equal(
+        op.deriv_apply(2, np.zeros(2), (np.ones(2), np.ones(2))), np.zeros(2))
+
+
 def test_deriv_apply_without_oracle_raises():
     with pytest.raises(UnsupportedOrder):
         identity_op(2).deriv_apply(2, np.zeros(2), (np.ones(2), np.ones(2)))

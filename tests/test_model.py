@@ -8,9 +8,11 @@ from holder_vi.model import (
     LinearModel,
     RegularizedModel,
     build_linear_model,
+    build_quadratic_model,
     remainder_bound,
 )
-from holder_vi.problems import make_power
+from holder_vi.problems import make_power, make_quartic_saddle
+from holder_vi.solvers import CountedOperator, Counters
 
 
 def test_linear_model_identity_fixture():
@@ -126,3 +128,17 @@ def test_regularized_jacobian_at_anchor_uses_zero_power_one():
     np.testing.assert_array_equal(m0.jacobian_at(anchor), J + 2.0 * np.eye(2))
     m1 = RegularizedModel(LinearModel(anchor, np.zeros(2), J), 1.0, 2.0)
     np.testing.assert_array_equal(m1.jacobian_at(anchor), J)
+
+
+def test_quadratic_jacobian_is_one_second_derivative_call(rng):
+    # J + D2F[d, .] from one oracle call on the identity, column j equal to
+    # J[:, j] + D2F[d, e_j]
+    op = make_quartic_saddle(64, 1.0, 0).operator
+    counted = CountedOperator(op, Counters())
+    anchor, z = 0.1 * rng.standard_normal(64), 0.1 * rng.standard_normal(64)
+    model = build_quadratic_model(counted, anchor)
+    jac = model.jacobian_at(z)
+    assert counted.counters.d_evals == 1
+    for j, e in enumerate(np.eye(64)):
+        column = op.deriv_apply(2, anchor, (z - anchor, e))
+        assert np.array_equal(jac[:, j], model.jacobian[:, j] + column)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holder_vi.core import Ball, Box
 from holder_vi.errors import ConfigError
@@ -123,6 +125,19 @@ def test_quartic_second_derivative_matches_finite_difference(quartic, rng):
     np.testing.assert_allclose(op.deriv_apply(2, z, (u, v)), fd, atol=1e-6)
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       name=st.sampled_from(["quartic:d=2", "quartic:d=4", "quartic:d=64", "bilinear:d=6"]))
+def test_matrix_of_directions_stacks_the_vector_calls(seed, name):
+    # deriv_apply(2, z, (u, I)) holds the columns deriv_apply(2, z, (u, e_j)),
+    # bit for bit
+    op = parse_problem(name).operator
+    rng = np.random.default_rng(seed)
+    z, u = rng.standard_normal(op.dim), rng.standard_normal(op.dim)
+    stacked = np.column_stack([op.deriv_apply(2, z, (u, e)) for e in np.eye(op.dim)])
+    assert np.array_equal(op.deriv_apply(2, z, (u, np.eye(op.dim))), stacked)
+
+
 def test_quartic_declared_constants(quartic):
     assert quartic.declared_H == pytest.approx(6.0, rel=1e-9)
     assert quartic.declared_H_p3 == pytest.approx(6.0, rel=1e-9)
@@ -221,6 +236,19 @@ def test_parse_errors_name_the_offender():
     for family in ("bilinear", "quartic"):
         with pytest.raises(ConfigError, match="seed >= 0"):
             parse_problem(f"{family}:d=4,seed=-1")
+
+
+def test_builders_reject_nonfinite_floats():
+    nan, inf = float("nan"), float("inf")
+    for build in (lambda: make_bilinear(4, nan, 1.0, 0),
+                  lambda: make_bilinear(4, 1.0, inf, 0),
+                  lambda: make_power(3, 0.5, inf),
+                  lambda: make_power(3, nan, 1.0),
+                  lambda: make_quartic_saddle(4, inf, 0),
+                  lambda: make_piecewise(3, inf, 1.0),
+                  lambda: make_piecewise(3, 1.0, inf)):
+        with pytest.raises(ConfigError, match="not finite"):
+            build()
 
 
 def test_instance_names_round_trip(instances):

@@ -297,7 +297,7 @@ def random_order3_model(rng, d, power, H, anchor):
     B = rng.standard_normal((d, d))
     J = B @ B.T / d + 0.2 * (B - B.T) + 0.5 * np.eye(d)
     base = QuadraticModel(anchor, rng.standard_normal(d), J,
-                          lambda o, z, dirs: np.einsum("ijk,j,k->i", T, *dirs))
+                          lambda o, z, dirs: np.einsum("ijk,j,k...->i...", T, *dirs))
     return RegularizedModel(base, power, H)
 
 
