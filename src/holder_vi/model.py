@@ -62,7 +62,8 @@ class LinearModel(_TaylorBase):
 
 @dataclass(frozen=True)
 class QuadraticModel(_TaylorBase):
-    """Second-order Taylor expansion; ``deriv(2, anchor, (u, v))`` is D²F[u, v]."""
+    """Second-order Taylor expansion; ``deriv(2, anchor, (u, v))`` is D²F[u, v],
+    and for a (dim, k) matrix v the (dim, k) columns D²F[u, v[:, j]]."""
 
     deriv: Callable[[int, Array, tuple], Array]
 

@@ -63,10 +63,10 @@ class ProblemInstance:
 
 
 def _check_floats(family: str, positive: tuple, **params: float) -> None:
-    """ConfigError at the first parameter not finite, or not > 0 if in ``positive``."""
+    """ConfigError at the first ``parse_problem`` key not finite, or not > 0 if in ``positive``."""
     for key, value in params.items():
         if not math.isfinite(value):
-            raise ConfigError(f"bad value {value!r} for {family} {key}: not finite")
+            raise ConfigError(f"bad value {value!r} for key {key!r}: not finite")
         if key in positive and not value > 0:
             raise ConfigError(f"{family} problem needs {key} > 0, got {value}")
 
@@ -87,7 +87,7 @@ def make_power(d: int, nu: float, radius: float) -> ProblemInstance:
     """
     if d < 1:
         raise ConfigError(f"power problem needs d >= 1, got {d}")
-    _check_floats("power", ("radius",), nu=nu, radius=radius)
+    _check_floats("power", ("r",), nu=nu, r=radius)
     if not (0.0 < nu <= 1.0):
         raise ConfigError(
             f"power problem needs nu in (0, 1], got {nu}; use the piecewise "
@@ -125,7 +125,7 @@ def make_bilinear(d: int, scale: float, radius: float, seed: int) -> ProblemInst
     """
     if d < 2 or d % 2:
         raise ConfigError(f"bilinear problem needs even d >= 2, got {d}")
-    _check_floats("bilinear", ("radius",), scale=scale, radius=radius)
+    _check_floats("bilinear", ("r",), scale=scale, r=radius)
     if seed < 0:
         raise ConfigError(f"bilinear problem needs seed >= 0, got {seed}")
     m = d // 2
@@ -178,7 +178,7 @@ def make_quartic_saddle(d: int, radius: float, seed: int) -> ProblemInstance:
     """
     if d < 2 or d % 2:
         raise ConfigError(f"quartic problem needs even d >= 2, got {d}")
-    _check_floats("quartic", ("radius",), radius=radius)
+    _check_floats("quartic", ("r",), r=radius)
     if seed < 0:
         raise ConfigError(f"quartic problem needs seed >= 0, got {seed}")
     m = d // 2
@@ -199,9 +199,8 @@ def make_quartic_saddle(d: int, radius: float, seed: int) -> ProblemInstance:
         return J
 
     def block_d2(w, u, v):
-        if v.ndim == 2:
-            return 2.0 * ((w @ u) * v + np.outer(u, w @ v) + np.outer(w, u @ v))
-        return 2.0 * ((w @ u) * v + (w @ v) * u + (u @ v) * w)
+        # v is a vector or an (m, k) matrix of directions; outer() covers both
+        return 2.0 * ((w @ u) * v + np.multiply.outer(u, w @ v) + np.multiply.outer(w, u @ v))
 
     def deriv(order, z, dirs):
         if order != 2:
@@ -234,7 +233,7 @@ def make_piecewise(d: int, L: float, radius: float) -> ProblemInstance:
     """
     if d < 1:
         raise ConfigError(f"piecewise problem needs d >= 1, got {d}")
-    _check_floats("piecewise", ("L", "radius"), L=L, radius=radius)
+    _check_floats("piecewise", ("L", "r"), L=L, r=radius)
     s = 0.5 * radius
 
     def fn(z):

@@ -251,6 +251,16 @@ def test_builders_reject_nonfinite_floats():
             build()
 
 
+def test_bad_float_errors_name_the_problem_key():
+    # builders and parse_problem report the key a problem string uses
+    with pytest.raises(ConfigError, match="for key 'r': not finite"):
+        parse_problem("power:r=inf")
+    with pytest.raises(ConfigError, match="for key 'r': not finite"):
+        make_quartic_saddle(4, float("inf"), 0)
+    with pytest.raises(ConfigError, match="needs r > 0"):
+        parse_problem("piecewise:r=-1")
+
+
 def test_instance_names_round_trip(instances):
     for inst in instances:
         again = parse_problem(inst.name)
