@@ -239,26 +239,17 @@ def test_parse_errors_name_the_offender():
 
 
 def test_builders_reject_nonfinite_floats():
+    # the message names the key a problem string uses, so r for radius
     nan, inf = float("nan"), float("inf")
-    for build in (lambda: make_bilinear(4, nan, 1.0, 0),
-                  lambda: make_bilinear(4, 1.0, inf, 0),
-                  lambda: make_power(3, 0.5, inf),
-                  lambda: make_power(3, nan, 1.0),
-                  lambda: make_quartic_saddle(4, inf, 0),
-                  lambda: make_piecewise(3, inf, 1.0),
-                  lambda: make_piecewise(3, 1.0, inf)):
-        with pytest.raises(ConfigError, match="not finite"):
+    for key, build in (("scale", lambda: make_bilinear(4, nan, 1.0, 0)),
+                       ("r", lambda: make_bilinear(4, 1.0, inf, 0)),
+                       ("r", lambda: make_power(3, 0.5, inf)),
+                       ("nu", lambda: make_power(3, nan, 1.0)),
+                       ("r", lambda: make_quartic_saddle(4, inf, 0)),
+                       ("L", lambda: make_piecewise(3, inf, 1.0)),
+                       ("r", lambda: make_piecewise(3, 1.0, inf))):
+        with pytest.raises(ConfigError, match=f"for key '{key}': not finite"):
             build()
-
-
-def test_bad_float_errors_name_the_problem_key():
-    # builders and parse_problem report the key a problem string uses
-    with pytest.raises(ConfigError, match="for key 'r': not finite"):
-        parse_problem("power:r=inf")
-    with pytest.raises(ConfigError, match="for key 'r': not finite"):
-        make_quartic_saddle(4, float("inf"), 0)
-    with pytest.raises(ConfigError, match="needs r > 0"):
-        parse_problem("piecewise:r=-1")
 
 
 def test_instance_names_round_trip(instances):
