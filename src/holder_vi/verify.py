@@ -3,8 +3,8 @@
 Groups cover monotonicity, Taylor-remainder sweeps, declared-constant
 sampling, Jacobian consistency, set geometry, subproblem fixtures and
 cross-validation, the p = 2 reduction, theorem-bound verdicts, and gap
-certificates.  The CLI prints the results as a table; tests call the
-group runners directly.
+certificates.  The CLI prints the results as a table; the test suite
+reads one full run.
 """
 
 from __future__ import annotations
@@ -290,13 +290,13 @@ def _run_difference(a, b) -> Optional[str]:
 
 def _check_reduction(out: List[CheckResult]) -> None:
     inst = make_power(5, 0.5, 1.0)
-    z0 = default_start(inst)
+    z0, H0 = default_start(inst), inst.declared_H / (1.0 + inst.declared_nu)
     op, fs = inst.operator, inst.feasible
     pairs = (
         ("adaptive p=2 tensor matches second-order", run_nu_aren, run_nu_aret,
-         "nu-aret", SolverConfig(method="nu-aren", nu=0.5, H0=0.7, K=10, eps=1e-6)),
+         "nu-aret", SolverConfig(method="nu-aren", nu=0.5, H0=H0, K=20, eps=1e-9)),
         ("universal p=2 tensor matches second-order", run_uren, run_uret,
-         "uret", SolverConfig(method="uren", nu=0.5, H0=0.7, K=10, eps=1e-30,
+         "uret", SolverConfig(method="uren", nu=0.5, H0=H0, K=20, eps=1e-30,
                               inner_tol=1e-10)),
     )
     for name, second, tensor, tensor_method, cfg in pairs:

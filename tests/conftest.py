@@ -1,7 +1,10 @@
-"""Shared fixtures: one instance per problem family, session scoped.
+"""Shared fixtures: one instance per problem family and one full
+``holder-vi verify`` run, all session scoped.
 
 Builders are cheap but the bilinear solution oracle does a dense solve,
-so reuse across tests keeps the suite fast.
+so reuse across tests keeps the suite fast.  The verify run is the
+expensive one: the acceptance scorecard reads four of its groups instead
+of recomputing them.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ from holder_vi.problems import (
     make_power,
     make_quartic_saddle,
 )
+from holder_vi.verify import run_checks
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +42,19 @@ def quartic():
 @pytest.fixture(scope="session")
 def piecewise():
     return make_piecewise(5, 1.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def verify_results():
+    return run_checks()
+
+
+def verify_checks(results, group, prefix=""):
+    """The verify checks of ``group`` whose name starts with ``prefix``;
+    an empty match fails, so a renamed check cannot pass vacuously."""
+    checks = [r for r in results if r.group == group and r.name.startswith(prefix)]
+    assert checks, f"no verify check {group}/{prefix}*"
+    return checks
 
 
 @pytest.fixture

@@ -6,47 +6,34 @@ scorecard echoed after the run (see ``pytest_terminal_summary`` in
 conftest).  Slopes come from log-log fits of the certified gap against
 the iteration budget over the desk-scale grid K = 16 .. 1024.
 
-These are the expensive tests in the suite; sweeps shared between
-criteria live in module-scoped fixtures so nothing runs twice.
+These are the expensive tests in the suite.  Sweeps shared between
+criteria live in module-scoped fixtures.  Four verdicts (declared
+constants, subproblem cross-validation, order-2 reduction, grid vs
+certificate) read their checks from the session's one ``holder-vi
+verify`` run (``verify_results`` in conftest) and show verify's detail
+text, so tier-1 computes each of those checks once.
 """
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, verify_checks
 from holder_vi.cli import main
-from holder_vi.core import Ball, SolverConfig, WholeSpace
-from holder_vi.metrics import (
-    FLAG,
-    PASS,
-    fit_rate_slope,
-    gap_upper_bound,
-    grid_gap_max,
-)
-from holder_vi.model import LinearModel, RegularizedModel
+from holder_vi.core import SolverConfig
+from holder_vi.metrics import FLAG, PASS, fit_rate_slope, gap_upper_bound
 from holder_vi.problems import default_start
 from holder_vi.solvers import (
     k_for_accuracy,
     run_extragradient,
     run_nu_aren,
-    run_nu_aret,
     run_nu_ren,
     run_uren,
     run_uret,
 )
-from holder_vi.subproblem import peg_callable, solve_model_vi
-from holder_vi.verify import (
-    planar_instances,
-    remainder_sweep,
-    suite_instances,
-)
 
 GRID = (16, 32, 64, 128, 256, 512, 1024)
-GOLDEN = 0.6180339887498949
 
 
 def _verdict(name, ok, detail):
@@ -54,6 +41,14 @@ def _verdict(name, ok, detail):
     ACCEPTANCE_LINES.append(line)
     print(line)
     assert ok, line
+
+
+def _verify_verdict(name, results, group, prefix=""):
+    """One scorecard line for the checks ``group``/``prefix``* of the
+    session's verify run, showing each check's detail text."""
+    checks = verify_checks(results, group, prefix)
+    _verdict(name, all(r.passed for r in checks),
+             "; ".join(f"{r.name[len(prefix):].lstrip()}: {r.detail}" for r in checks))
 
 
 def _slope(trace):
@@ -65,9 +60,7 @@ def _slope(trace):
 
 
 def _sweep(run_one, grid=GRID):
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        gaps = list(pool.map(run_one, grid))
-    return list(zip(grid, gaps))
+    return [(K, run_one(K)) for K in grid]
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +94,7 @@ def universal_runs(power_nu_half, power_nu1):
                                inner_tol=1e-10)
             return run_uren(inst.operator, inst.feasible, z0, cfg)
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            out[nu] = (inst, list(pool.map(one, GRID)))
+        out[nu] = (inst, [one(K) for K in GRID])
     return out
 
 
@@ -256,88 +248,23 @@ def test_early_exit_certificate(power_nu1, bilinear):
              f"third order from solution: gap {g3:.2e}")
 
 
-def test_declared_constants_hold():
+def test_declared_constants_hold(verify_results):
     """Sampled smoothness violations never exceed the declared constants
-    beyond 1e-12, for the Jacobian bound and the third-order bound."""
-    details = []
-    ok = True
-    for inst in suite_instances():
-        worst = remainder_sweep(inst, n_pairs=10_000)
-        ok = ok and worst <= 0.0
-        details.append(f"{inst.name} {worst:.1e}")
-    for inst in suite_instances():
-        if inst.declared_H_p3 is None:
-            continue
-        worst = remainder_sweep(inst, order=3, n_pairs=10_000)
-        ok = ok and worst <= 0.0
-        details.append(f"{inst.name} p3 {worst:.1e}")
-    _verdict("declared constants", ok, "worst margins " + ", ".join(details))
+    beyond 1e-12, for the Jacobian bound and the third-order bound
+    (verify's remainder group: 10,000 pairs, seed 0)."""
+    _verify_verdict("declared constants", verify_results, "remainder")
 
 
-def test_subproblem_cross_validation():
+def test_subproblem_cross_validation(verify_results):
     """Closed-form fixtures to 1e-9 and Newton-vs-extragradient agreement
-    to 1e-6 on one hundred random instances."""
-    m = RegularizedModel(LinearModel(np.zeros(1), np.ones(1), np.eye(1)),
-                         1.0, 1.0)
-    s = solve_model_vi(m, WholeSpace(1), 1e-12)
-    golden_err = abs(abs(float(s.point[0])) - GOLDEN)
-
-    m2 = RegularizedModel(LinearModel(np.zeros(2), np.array([1.0, 0.0]),
-                                      np.zeros((2, 2))), 1.0, 1.0)
-    s2 = solve_model_vi(m2, Ball(2, np.zeros(2), 0.5), 1e-12)
-    ball_err = float(np.linalg.norm(s2.point - np.array([-0.5, 0.0])))
-
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(100):
-        d = 10
-        B = rng.standard_normal((d, d))
-        S = 0.3 * rng.standard_normal((d, d))
-        J = B @ B.T / d + (S - S.T)
-        c = rng.standard_normal(d)
-        model = RegularizedModel(LinearModel(np.zeros(d), c, J), 0.5, 1.3)
-        newton = solve_model_vi(model, WholeSpace(d), 1e-10)
-        radius = 3.0 * (np.linalg.norm(c) / 1.3) ** (1.0 / 1.5) + 1.0
-        peg, _, _ = peg_callable(model, WholeSpace(d), np.zeros(d), 1e-10,
-                                 200_000, radius)
-        worst = max(worst, float(np.linalg.norm(newton.point - peg)))
-
-    ok = golden_err <= 1e-9 and ball_err <= 1e-9 and worst <= 1e-6
-    _verdict("subproblem cross-validation", ok,
-             f"golden {golden_err:.1e}, ball {ball_err:.1e}, "
-             f"100 random worst {worst:.1e}")
+    to 1e-6 on random instances (verify's subproblem group)."""
+    _verify_verdict("subproblem cross-validation", verify_results, "subproblem")
 
 
-def test_order_two_tensor_reduction(power_nu_half):
-    """Order-2 tensor runs reproduce the second-order iterate streams."""
-    inst = power_nu_half
-    op, fs = inst.operator, inst.feasible
-    z0 = default_start(inst)
-    H0 = inst.declared_H / 1.5
-
-    cfg_a = SolverConfig(method="nu-aren", nu=0.5, H0=H0, K=20, eps=1e-9)
-    cfg_t = SolverConfig(method="nu-aret", nu=0.5, H0=H0, K=20, eps=1e-9, p=2)
-    ra = run_nu_aren(op, fs, z0, cfg_a)
-    rt = run_nu_aret(op, fs, z0, cfg_t)
-    same_len = len(ra.records) == len(rt.records)
-    dev_a = max(max(float(np.max(np.abs(x.half_step - y.half_step))),
-                    float(np.max(np.abs(x.full_step - y.full_step))))
-                for x, y in zip(ra.records, rt.records)) if same_len else np.inf
-
-    cfg_u = SolverConfig(method="uren", H0=H0, K=20, eps=1e-30,
-                         inner_tol=1e-10)
-    cfg_v = SolverConfig(method="uret", H0=H0, K=20, eps=1e-30,
-                         inner_tol=1e-10, p=2)
-    ru = run_uren(op, fs, z0, cfg_u)
-    rv = run_uret(op, fs, z0, cfg_v)
-    same_len_u = len(ru.records) == len(rv.records)
-    dev_u = max(max(float(np.max(np.abs(x.half_step - y.half_step))),
-                    float(np.max(np.abs(x.full_step - y.full_step))))
-                for x, y in zip(ru.records, rv.records)) if same_len_u else np.inf
-
-    ok = same_len and same_len_u and dev_a <= 1e-10 and dev_u <= 1e-10
-    _verdict("order-2 reduction", ok,
-             f"adaptive dev {dev_a:.1e}, universal dev {dev_u:.1e}")
+def test_order_two_tensor_reduction(verify_results):
+    """Order-2 tensor runs reproduce the second-order runs: identical
+    records and final gap (verify's reduction group)."""
+    _verify_verdict("order-2 reduction", verify_results, "reduction")
 
 
 def test_baseline_separation(bilinear, quartic):
@@ -394,21 +321,9 @@ def test_trace_determinism(tmp_path):
              "dropping wall_ns")
 
 
-def test_grid_never_beats_certificate():
+def test_grid_never_beats_certificate(verify_results):
     """Brute-force 200 x 200 grid maximization of <F(z), zbar - z> stays
     below the support-function certificate on planar members of every
-    family."""
-    details = []
-    ok = True
-    for inst in planar_instances():
-        z0 = default_start(inst)
-        H = max(inst.declared_H, 0.5)
-        cfg = SolverConfig(method="nu-aren", nu=inst.declared_nu, H0=H, K=12,
-                           eps=1e-6)
-        res = run_nu_aren(inst.operator, inst.feasible, z0, cfg)
-        zbar = res.averaged_point
-        gu = gap_upper_bound(inst.operator, inst.feasible, zbar).gap_upper
-        gm = grid_gap_max(inst.operator, inst.feasible, zbar, n=200)
-        ok = ok and gm <= gu + 1e-6
-        details.append(f"{inst.name} margin {gm - gu:.1e}")
-    _verdict("grid vs certificate", ok, "; ".join(details))
+    family (verify's gap group)."""
+    _verify_verdict("grid vs certificate", verify_results, "gap",
+                    "grid vs certificate")

@@ -338,7 +338,9 @@ def test_verify_single_group_passes(capsys):
 def test_verify_negative_control_fails(capsys):
     rc = main(["verify", "--only", "remainder", "--scale-declared-h", "0.5"])
     assert rc == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "checks passed" in out
 
 
 def test_verify_rejects_unknown_group():
