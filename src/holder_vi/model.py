@@ -10,8 +10,10 @@ Newton inner solver needs; a quadratic base gets its D²F[d, ·] part from
 one D²F call on the identity matrix of directions.  A line search builds
 one base per outer iteration and regularizes it once per trial, so the
 base caches what every trial's solve reads of J: its norm and, for
-linear models, the smallest eigenvalue of its symmetric part (the
-monotonicity check).
+linear models, the monotonicity check.  That check is a Cholesky
+factorization of (J + J^T)/2 + tau I with tau = 1e-8 (1 + |J|_F); only
+when it fails does ``eigvalsh`` run, for the eigenvalue that the
+fallback's warning reports.
 """
 
 from __future__ import annotations
@@ -52,12 +54,25 @@ class LinearModel(_TaylorBase):
         return self.jacobian
 
     @cached_property
-    def sym_min_eig(self) -> Optional[float]:
-        """Smallest eigenvalue of (J + J^T)/2; None above d=400, where the
-        eigendecomposition is not worth its cost."""
-        if self.jacobian.shape[0] > 400:
+    def negative_sym_eig(self) -> Optional[float]:
+        """Smallest eigenvalue of S = (J + J^T)/2 when it is below -tau, with
+        tau = 1e-8 (1 + |J|_F); None when S + tau I has a Cholesky factor
+        (so S is PSD up to tau), or above d=400, where the check is not
+        worth its cost."""
+        J = self.jacobian
+        n = J.shape[0]
+        if n > 400:
             return None
-        return float(np.linalg.eigvalsh(0.5 * (self.jacobian + self.jacobian.T))[0])
+        tau = 1e-8 * (1.0 + self.jacobian_norm)
+        shifted = J + J.T
+        shifted *= 0.5
+        shifted.flat[::n + 1] += tau
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lam = float(np.linalg.eigvalsh(0.5 * (J + J.T))[0])
+            return lam if lam < -tau else None
+        return None
 
 
 @dataclass(frozen=True)
@@ -102,12 +117,24 @@ class RegularizedModel:
 
     def jacobian_at(self, z: Array) -> Array:
         """Base Jacobian + H (|d|^power I + power |d|^(power-2) d d^T), with
-        0^0 = 1."""
+        0^0 = 1, built in one new d x d buffer: the rank-1 term, J added
+        into it, then the diagonal written as (J_ii + c) + beta d_i^2, so
+        every entry rounds as in (J + c I) + beta d d^T.  The base Jacobian
+        is never written to."""
         d = z - self.base.anchor
         nd = math.sqrt(d @ d)
-        out = self.base.jacobian_at(z) + (self.H * nd ** self.power) * np.eye(d.shape[0])
+        J = self.base.jacobian_at(z)
+        c = self.H * nd ** self.power
+        diag = J.diagonal() + c
         if nd > 0.0 and self.power != 0.0:
-            out += (self.H * self.power * nd ** (self.power - 2.0)) * np.outer(d, d)
+            beta = self.H * self.power * nd ** (self.power - 2.0)
+            out = np.multiply.outer(d, d)
+            out *= beta
+            out += J
+            diag += beta * (d * d)
+        else:
+            out = J.copy()
+        out.flat[::d.shape[0] + 1] = diag
         return out
 
 

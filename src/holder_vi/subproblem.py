@@ -226,20 +226,21 @@ def solve_model_vi(model: RegularizedModel, feasible: FeasibleSet,
     """Solve the VI of a regularized model of order 2 or 3 over the set.
 
     For a linear base, a check that the Jacobian's symmetric part is not
-    negative (read from the base's cache, so one eigendecomposition
-    serves every trial of a line search); then semismooth Newton on the
-    normal map, then projected extragradient from the anchor when
-    Newton's answer is not certified.  A negative symmetric part (with a
-    RuntimeWarning on every solve) or ``prefer='peg'`` goes to projected
-    extragradient directly; ``prefer`` takes no other value than None.
+    negative (``LinearModel.negative_sym_eig``, cached on the base, so one
+    Cholesky factorization serves every trial of a line search); then
+    semismooth Newton on the normal map, then projected extragradient
+    from the anchor when Newton's answer is not certified.  A negative
+    symmetric part (with a RuntimeWarning on every solve) or
+    ``prefer='peg'`` goes to projected extragradient directly; ``prefer``
+    takes no other value than None.
     Raises SubproblemFailure when the natural-map residual cannot be
     brought below ``inner_tol``.
     """
     if prefer not in (None, "peg"):
         raise ValueError(f"prefer must be None or 'peg', got {prefer!r}")
     base = model.base
-    sym_min = base.sym_min_eig if isinstance(base, LinearModel) else None
-    if sym_min is not None and sym_min < -1e-8 * (1.0 + base.jacobian_norm):
+    sym_min = base.negative_sym_eig if isinstance(base, LinearModel) else None
+    if sym_min is not None:
         warnings.warn(f"model Jacobian has negative symmetric part "
                       f"({sym_min:g}); using projected extragradient",
                       RuntimeWarning)

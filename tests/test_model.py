@@ -6,6 +6,7 @@ import pytest
 from holder_vi.core import Operator
 from holder_vi.model import (
     LinearModel,
+    QuadraticModel,
     RegularizedModel,
     build_linear_model,
     build_quadratic_model,
@@ -128,6 +129,37 @@ def test_regularized_jacobian_at_anchor_uses_zero_power_one():
     np.testing.assert_array_equal(m0.jacobian_at(anchor), J + 2.0 * np.eye(2))
     m1 = RegularizedModel(LinearModel(anchor, np.zeros(2), J), 1.0, 2.0)
     np.testing.assert_array_equal(m1.jacobian_at(anchor), J)
+
+
+def summed_jacobian(base, power, H, z):
+    """The regularized Jacobian as the plain sum J + c I + beta d d^T."""
+    d = z - base.anchor
+    nd = np.sqrt(d @ d)
+    out = base.jacobian_at(z) + (H * nd ** power) * np.eye(d.shape[0])
+    if nd > 0.0 and power != 0.0:
+        out += (H * power * nd ** (power - 2.0)) * np.outer(d, d)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64])
+@pytest.mark.parametrize("power", [0.0, 0.5, 1.0, 2.0])
+def test_regularized_jacobian_is_bit_identical_to_the_plain_sum(rng, dim, power):
+    # D2F[u, v] of F(z) = z^3 (elementwise), for a vector or a matrix v
+    op = Operator(dim=dim, fn=lambda z: z ** 3, jac_fn=lambda z: np.diag(3.0 * z ** 2),
+                  deriv_fn=lambda order, z, dirs: (6.0 * z * dirs[0] * dirs[1].T).T)
+    anchor = rng.standard_normal(dim)
+    J = rng.standard_normal((dim, dim))
+    bases = [LinearModel(anchor, rng.standard_normal(dim), J),
+             QuadraticModel(anchor, rng.standard_normal(dim), J.copy(),
+                            deriv=op.deriv_apply)]
+    for base in bases:
+        before = base.jacobian.copy()
+        for z in (anchor.copy(), anchor + 0.7 * rng.standard_normal(dim)):
+            m = RegularizedModel(base, power, 1.3)
+            got = m.jacobian_at(z)
+            assert np.array_equal(got, summed_jacobian(base, power, 1.3, z))
+            assert got is not base.jacobian
+            assert base.jacobian.tobytes() == before.tobytes()
 
 
 def test_quadratic_jacobian_is_one_second_derivative_call(rng):

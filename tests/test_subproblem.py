@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holder_vi.core import Ball, Box, WholeSpace
+from holder_vi.core import Ball, Box, Operator, WholeSpace
 from holder_vi.errors import DegenerateRegularization, SubproblemFailure
 from holder_vi.linesearch import SearchMode, search
 from holder_vi.model import LinearModel, QuadraticModel, RegularizedModel
@@ -179,22 +179,90 @@ def test_prefer_accepts_only_none_and_peg():
             solve_model_vi(m, WholeSpace(1), 1e-12, prefer=prefer)
 
 
-def test_search_checks_monotonicity_once_per_linear_model(monkeypatch):
+def counted_linalg(monkeypatch, name):
+    """Shapes of the matrices passed to np.linalg.<name> from now on."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    original = getattr(np.linalg, name)
 
-    def counted(a):
+    def counted(a, *args, **kwargs):
         calls.append(a.shape)
-        return eigvalsh(a)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_search_checks_monotonicity_once_per_linear_model(monkeypatch):
+    # one Cholesky factorization per linear model serves every trial of the
+    # search, and a monotone model needs no eigendecomposition at all
+    cholesky = counted_linalg(monkeypatch, "cholesky")
+    eigvalsh = counted_linalg(monkeypatch, "eigvalsh")
     inst = make_power(5, 0.5, 1.0)
     z = np.full(5, 0.3)
     # H_k = 1e-6 is far below the operator's constant: the first trials fail
     out = search(inst.operator, inst.feasible, z, 1e-6, SearchMode.holder(0.5),
                  1e-10, 30)
     assert out.i_k >= 1
-    assert calls == [(5, 5)]
+    assert cholesky == [(5, 5)]
+    assert eigvalsh == []
+
+
+def near_threshold_jacobian(ratio):
+    """2x2 Jacobian whose symmetric part diag(1, lam) has lam = -ratio tau,
+    tau = 1e-8 (1 + |J|_F) the monotonicity tolerance, plus a skew part
+    that leaves the symmetric part exact."""
+    J = np.array([[1.0, 1.0], [-1.0, 0.0]])
+    J[1, 1] = -ratio * 1e-8 * (1.0 + np.linalg.norm(J))
+    tau = 1e-8 * (1.0 + np.linalg.norm(J))  # the entry moves |J|_F by ~1e-16
+    assert np.array_equal(0.5 * (J + J.T), np.diag([1.0, J[1, 1]]))
+    assert J[1, 1] == pytest.approx(-ratio * tau, rel=1e-12)
+    return J
+
+
+def test_symmetric_part_within_tolerance_takes_newton_silently(monkeypatch):
+    # the shift by tau lets the Cholesky factor exist, so no eigendecomposition
+    eigvalsh = counted_linalg(monkeypatch, "eigvalsh")
+    J = near_threshold_jacobian(0.5)
+    m = RegularizedModel(LinearModel(np.zeros(2), np.array([0.4, -0.2]), J),
+                         1.0, 2.0)
+    assert m.base.negative_sym_eig is None
+    assert eigvalsh == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_model_vi(m, Ball(2, np.zeros(2), 0.5), 1e-10)
+    assert sol.method == "newton"
+    assert sol.residual <= 1e-10
+
+
+def test_symmetric_part_below_tolerance_warns_with_its_eigenvalue():
+    J = near_threshold_jacobian(2.0)
+    m = RegularizedModel(LinearModel(np.zeros(2), np.array([0.4, -0.2]), J),
+                         1.0, 2.0)
+    with pytest.warns(RuntimeWarning, match="negative symmetric part") as rec:
+        sol = solve_model_vi(m, Ball(2, np.zeros(2), 0.5), 1e-10)
+    assert f"({J[1, 1]:g})" in str(rec[0].message)
+    assert sol.method == "peg"
+    assert sol.residual <= 1e-10
+
+
+def test_search_warns_on_every_solve_from_one_eigendecomposition(monkeypatch):
+    # F(z) = J z + b + z^3 has Jacobian J at the anchor 0, and the cubic
+    # remainder fails the criterion at small H, so the search takes several
+    # trials over one base
+    J = near_threshold_jacobian(2.0)
+    b = np.array([0.4, -0.2])
+    op = Operator(dim=2, fn=lambda z: J @ z + b + z ** 3,
+                  jac_fn=lambda z: J + np.diag(3.0 * z ** 2))
+    eigvalsh = counted_linalg(monkeypatch, "eigvalsh")
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        out = search(op, Ball(2, np.zeros(2), 0.5), np.zeros(2), 1e-3,
+                     SearchMode.holder(1.0), 1e-10, 30)
+    assert out.i_k >= 2
+    assert eigvalsh == [(2, 2)]
+    messages = [str(w.message) for w in rec]
+    assert len(messages) == out.i_k + 1
+    assert all("negative symmetric part" in m for m in messages)
 
 
 # -------------------------------------------------------------- invariants
