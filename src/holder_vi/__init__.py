@@ -37,7 +37,6 @@ from .metrics import (
     fit_rate_slope,
     gap_upper_bound,
     grid_gap_max,
-    theorem_bound_report,
 )
 from .model import (
     LinearModel,
@@ -79,7 +78,7 @@ __all__ = [
     "SubproblemFailure", "UnboundedGapError", "UnsupportedOrder",
     "LineSearchOutcome", "SearchMode", "search",
     "GapCertificate", "Verdict", "c_nu_constant", "fit_rate_slope",
-    "gap_upper_bound", "grid_gap_max", "theorem_bound_report", "LinearModel",
+    "gap_upper_bound", "grid_gap_max", "LinearModel",
     "RegularizedModel", "build_linear_model", "remainder_bound",
     "ProblemInstance", "default_start", "make_bilinear", "make_piecewise",
     "make_power", "make_quartic_saddle", "parse_problem", "problem_families",

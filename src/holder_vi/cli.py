@@ -132,7 +132,8 @@ def _parse_ini(text: str, source: str) -> dict:
 
 
 def _conforming_H0(instance: ProblemInstance, nu: float, p: int) -> float:
-    H = instance.declared_H_p3 if p >= 3 else instance.declared_H
+    op = instance.operator
+    H = op.holder_const_p3 if p >= 3 else op.holder_const
     if H is None:
         raise ConfigError(
             f"problem {instance.name} declares no order-{p} constant; "
@@ -164,7 +165,7 @@ def _resolve(args) -> tuple:
 
     nu = settings.get("nu")
     if nu is None or nu == "auto":
-        nu = instance.declared_nu
+        nu = instance.operator.nu
     settings["nu"] = float(nu)
     p_raw = settings.get("p")
     p = 2 if p_raw is None else int(p_raw)
@@ -173,11 +174,12 @@ def _resolve(args) -> tuple:
         raise ConfigError(f"problem {instance.name} has no derivative oracle of "
                           f"order {p - 1}; order-{p} methods need one")
     if settings.get("H") == "auto":
-        if instance.declared_H <= 0:
+        H = instance.operator.holder_const
+        if H <= 0:
             raise ConfigError(
                 f"declared constant of {instance.name} is zero; pass an "
                 "explicit --H")
-        settings["H"] = instance.declared_H
+        settings["H"] = H
     if settings.get("H0") == "auto":
         if method in ("uren", "uret"):
             settings["H0"] = 1.0

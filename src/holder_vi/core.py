@@ -56,10 +56,12 @@ class Operator:
         D^2 F(z)[u, v], and with a (dim, k) matrix v the (dim, k) matrix of
         columns D^2 F(z)[u, v[:, j]].  Needed only by third-order methods.
     nu, holder_const : float, optional
-        Advertised Holder exponent / constant of the Jacobian; informational.
+        Declared Holder exponent / constant of the Jacobian over the set.
+        No iteration reads them; every run's bound verdicts, ``solve``'s
+        ``auto`` settings and ``verify`` do.
     holder_const_p3 : float, optional
-        Advertised Lipschitz constant of the second derivative, for maps
-        that carry a third-order oracle.
+        Declared Lipschitz constant of the second derivative, for maps
+        that carry a third-order oracle; the order-3 runs' verdicts read it.
     """
 
     dim: int

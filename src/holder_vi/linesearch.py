@@ -55,7 +55,6 @@ class LineSearchOutcome:
     step_norm: float
     trials: List[Tuple[float, float, float]] = field(default_factory=list)
     f_at_accepted: Optional[Array] = None
-    residual: float = 0.0
     early_exit_gap: Optional[float] = None
 
 
@@ -114,7 +113,6 @@ def search(op: Operator, feasible: FeasibleSet, z_k: Array, H_k: float,
                 return LineSearchOutcome(i_k=i, H_trial=H_trial,
                                          accepted_point=T, step_norm=step,
                                          trials=trials, f_at_accepted=fT,
-                                         residual=sol.residual,
                                          early_exit_gap=g)
         e = fT - base(T)
         lhs = math.sqrt(e @ e)
@@ -123,7 +121,7 @@ def search(op: Operator, feasible: FeasibleSet, z_k: Array, H_k: float,
         if criterion_accepts(lhs, rhs):
             return LineSearchOutcome(i_k=i, H_trial=H_trial, accepted_point=T,
                                      step_norm=step, trials=trials,
-                                     f_at_accepted=fT, residual=sol.residual)
+                                     f_at_accepted=fT)
     lines = ", ".join(f"(H={h:g}, lhs={l:g}, rhs={r:g})" for h, l, r in trials)
     raise LineSearchExhausted(
         f"criterion not met after {max_doublings} doublings from H={H_k:g} "

@@ -165,12 +165,12 @@ def _leveled(measured: float, bound: float, rel: float) -> Verdict:
     return Verdict(FAIL, measured, bound)
 
 
-def bound_verdicts(records, method: str, nu: float, declared_H: Optional[float],
+def bound_verdicts(records, method: str, nu: float, H: Optional[float],
                    D: float, H0: Optional[float], eps: float,
                    early_exit: bool = False, p: int = 2) -> Dict[str, Verdict]:
     """Verdicts for the adaptive-H ceiling, oracle budget, and universal cap.
 
-    ``records`` need fields H_k and i_k.  ``declared_H`` is the problem's
+    ``records`` need fields H_k and i_k.  ``H`` is the problem's declared
     smoothness constant (order-2 pairs use H_nu, order-p pairs H_{p,nu},
     scaled by ``c_p_nu(p, nu)``); None or 0 renders the bound checks
     not-applicable.
@@ -184,7 +184,7 @@ def bound_verdicts(records, method: str, nu: float, declared_H: Optional[float],
         out["oracle_budget"] = Verdict(NOT_APPLICABLE, note="no line search")
         out["universal_cap"] = Verdict(NOT_APPLICABLE, note="not a universal method")
         return out
-    degenerate = declared_H is None or declared_H <= 0.0
+    degenerate = H is None or H <= 0.0
     K_done = len(records)
     spent = sum(r.i_k + 1 for r in records)
     h_states = [r.H_k / 2.0 ** r.i_k for r in records]
@@ -196,7 +196,7 @@ def bound_verdicts(records, method: str, nu: float, declared_H: Optional[float],
             out["H_bound"] = Verdict(NOT_APPLICABLE, note=note)
             out["oracle_budget"] = Verdict(NOT_APPLICABLE, note=note)
         else:
-            ceiling = declared_ceiling(p, nu, declared_H)
+            ceiling = declared_ceiling(p, nu, H)
             start_ok = H0 is not None and H0 <= ceiling / 2.0 * (1.0 + 1e-12)
             v = _leveled(max(h_states), ceiling, rel=1e-9)
             if not start_ok:
@@ -223,16 +223,8 @@ def bound_verdicts(records, method: str, nu: float, declared_H: Optional[float],
                                        note="appendix cap display diverges at nu=1")
     else:
         if method == "uret" and p >= 3:
-            cap = tensor_universal_cap(p, nu, c_p_nu(p, nu), declared_H, D, eps)
+            cap = tensor_universal_cap(p, nu, c_p_nu(p, nu), H, D, eps)
         else:
-            cap = universal_cap(nu, declared_H, D, eps)
+            cap = universal_cap(nu, H, D, eps)
         out["universal_cap"] = _leveled(h_next_max, cap, rel=1e-6)
     return out
-
-
-def theorem_bound_report(run, instance, cfg) -> Dict[str, Verdict]:
-    """Re-derive the run's bound verdicts from an instance's declared constants."""
-    declared_H = instance.declared_H_p3 if cfg.p >= 3 else instance.declared_H
-    return bound_verdicts(run.records, run.method, instance.declared_nu,
-                          declared_H, instance.diameter, cfg.H0, cfg.eps,
-                          early_exit=run.early_exit is not None, p=cfg.p)

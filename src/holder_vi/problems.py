@@ -1,10 +1,10 @@
 """Test problems with known ground truth.
 
-Each constructor returns a ``ProblemInstance`` bundling the operator, the
-feasible set, declared smoothness constants, and (when available) the
-exact solution.  Declared constants come from closed forms; the sampling
-oracle settings that confirmed them are recorded in ``notes`` so the
-checks are reproducible.
+Each constructor returns a ``ProblemInstance`` bundling the operator
+(which carries the declared smoothness constants), the feasible set, and
+(when available) the exact solution.  Declared constants come from
+closed forms; the sampling oracle settings that confirmed them are
+recorded in ``notes`` so the checks are reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ _DECLARED_PAD = 1.0 + 1e-12
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Operator + set + declared constants, ready for a solver run.
+    """Operator + set, ready for a solver run.
 
     Attributes
     ----------
@@ -35,15 +35,9 @@ class ProblemInstance:
         Canonical ``family:key=val,...`` string, parseable by
         ``parse_problem``.
     operator, feasible :
-        The map F and the set Z.
-    declared_nu, declared_H : float
-        Advertised Holder exponent and constant of the Jacobian over the
-        set.
-    declared_H_p3 : float, optional
-        Advertised Lipschitz constant of the second derivative, present
-        only when the operator carries a third-order oracle.
-    diameter : float
-        Diameter of the feasible set.
+        The map F and the set Z.  The operator carries the declared
+        constants (``nu``, ``holder_const`` and, with a third-order
+        oracle, ``holder_const_p3``); the set carries the diameter.
     solution : array, optional
         Exact solution when known.
     notes : str
@@ -54,11 +48,7 @@ class ProblemInstance:
     name: str
     operator: Operator
     feasible: FeasibleSet
-    declared_nu: float
-    declared_H: float
-    diameter: float
     solution: Optional[Array] = None
-    declared_H_p3: Optional[float] = None
     notes: str = ""
 
 
@@ -108,7 +98,6 @@ def make_power(d: int, nu: float, radius: float) -> ProblemInstance:
     name = f"power:d={d},nu={_fmt(nu)},r={_fmt(radius)}"
     return ProblemInstance(
         name=name, operator=op, feasible=Ball(d, np.zeros(d), radius),
-        declared_nu=nu, declared_H=H, diameter=2.0 * radius,
         solution=np.zeros(d),
         notes=f"H = (1+nu)(1+1e-12) = {H!r}, closed form; ratio oracle over "
               "1e4 sampled pairs (seed 0) stays below it")
@@ -159,9 +148,7 @@ def make_bilinear(d: int, scale: float, radius: float, seed: int) -> ProblemInst
                   holder_const=0.0, holder_const_p3=0.0)
     name = f"bilinear:d={d},scale={_fmt(scale)},r={_fmt(radius)},seed={seed}"
     return ProblemInstance(
-        name=name, operator=op, feasible=feasible, declared_nu=1.0,
-        declared_H=0.0, diameter=2.0 * radius, solution=sol,
-        declared_H_p3=0.0,
+        name=name, operator=op, feasible=feasible, solution=sol,
         notes="H = 0 for every nu, constant Jacobian (all higher "
               "derivatives vanish); solution certified to natural residual "
               "1e-12 by the inner solver on the exact model")
@@ -216,8 +203,7 @@ def make_quartic_saddle(d: int, radius: float, seed: int) -> ProblemInstance:
     name = f"quartic:d={d},r={_fmt(radius)},seed={seed}"
     return ProblemInstance(
         name=name, operator=op, feasible=Ball(d, np.zeros(d), radius),
-        declared_nu=1.0, declared_H=H, diameter=2.0 * radius,
-        solution=np.zeros(d), declared_H_p3=H3,
+        solution=np.zeros(d),
         notes=f"H = 6r(1+1e-12) = {H!r}, supremum over collinear boundary "
               f"pairs; H_3 = 6(1+1e-12) = {H3!r} = |D^3 F|; 1e4-pair ratio "
               "oracles (seed 0) stay below both")
@@ -244,13 +230,11 @@ def make_piecewise(d: int, L: float, radius: float) -> ProblemInstance:
 
     H = 2.0 * L
     op = Operator(dim=d, fn=fn, jac_fn=jac, nu=0.0, holder_const=H)
-    lo = np.full(d, -radius)
-    hi = np.full(d, radius)
     name = f"piecewise:d={d},L={_fmt(L)},r={_fmt(radius)}"
     return ProblemInstance(
-        name=name, operator=op, feasible=Box(d, lo, hi),
-        declared_nu=0.0, declared_H=H,
-        diameter=float(np.linalg.norm(hi - lo)), solution=np.zeros(d),
+        name=name, operator=op,
+        feasible=Box(d, np.full(d, -radius), np.full(d, radius)),
+        solution=np.zeros(d),
         notes=f"nu = 0 with H = 2L = {H!r}: the Jacobian jump across the "
               "band edge |z_i| = r/2 has spectral norm L, and the secant "
               "bound doubles it")
@@ -272,7 +256,7 @@ def default_start(instance: ProblemInstance, seed: int = 0) -> Array:
         center = fs.center
     else:
         center = np.zeros(fs.dim)
-    return fs.project(center + 0.45 * instance.diameter * u)
+    return fs.project(center + 0.45 * fs.diameter * u)
 
 
 # family name -> (builder, {key: (python type, default)})

@@ -234,8 +234,8 @@ def _drive(method: str, op: Operator, feasible: FeasibleSet, z0: Array,
         out_point = avg.point
     gap = probe(out_point)
     nu_decl = op.nu if op.nu is not None else cfg.nu
-    declared_H = op.holder_const_p3 if cfg.p >= 3 else op.holder_const
-    checks = bound_verdicts(records, method, nu_decl, declared_H, feasible.diameter,
+    H_decl = op.holder_const_p3 if cfg.p >= 3 else op.holder_const
+    checks = bound_verdicts(records, method, nu_decl, H_decl, feasible.diameter,
                             cfg.H0, cfg.eps, early_exit=early is not None,
                             p=cfg.p)
     return RunResult(method=method, averaged_point=out_point, final_gap=gap,

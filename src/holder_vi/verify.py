@@ -18,7 +18,13 @@ import numpy as np
 from .core import Ball, Box, WholeSpace, check_monotone, estimate_holder_constant
 from .errors import ConfigError
 from .metrics import c_nu_constant, declared_ceiling, gap_upper_bound, grid_gap_max
-from .model import LinearModel, QuadraticModel, RegularizedModel
+from .model import (
+    LinearModel,
+    QuadraticModel,
+    RegularizedModel,
+    build_linear_model,
+    build_quadratic_model,
+)
 from .problems import (
     ProblemInstance,
     default_start,
@@ -76,32 +82,29 @@ def remainder_sweep(inst: ProblemInstance, n_pairs: int = 10_000,
                     seed: int = 0, *, order: int = 2) -> float:
     """Worst violation of the Taylor bound of the given order (2 or 3).
 
-    Order 2 checks |F(z')-F(z)-J(z)d| <= H |d|^{1+nu}/(1+nu), order 3
-    the second-order expansion against c_{3,nu} H_3 |d|^{2+nu}; both
-    scales are half of ``declared_ceiling``.  Returns max(remainder -
-    bound - 1e-12 (1 + bound)) over sampled pairs; nonpositive means the
-    sweep is clean.
+    The remainder is |F(z') - base(z')| for the Taylor base the line
+    search builds at z: linear at order 2, checked against
+    H |d|^{1+nu}/(1+nu), quadratic at order 3, against
+    c_{3,nu} H_3 |d|^{2+nu}; both scales are half of
+    ``declared_ceiling``.  Returns max(remainder - bound - 1e-12 (1 +
+    bound)) over sampled pairs; nonpositive means the sweep is clean.
     """
-    H = inst.declared_H_p3 if order == 3 else inst.declared_H
+    op, fs = inst.operator, inst.feasible
+    H = op.holder_const_p3 if order == 3 else op.holder_const
     if H is None:
         raise ConfigError(f"{inst.name} declares no third-order constant")
-    op, fs = inst.operator, inst.feasible
+    build = build_quadratic_model if order == 3 else build_linear_model
     rng = np.random.default_rng(seed)
     zs = fs.sample(rng, n_pairs)
     zps = fs.sample(rng, n_pairs)
-    scale = declared_ceiling(order, inst.declared_nu, H) / 2.0
-    expo = order - 1.0 + inst.declared_nu
+    scale = declared_ceiling(order, op.nu, H) / 2.0
+    expo = order - 1.0 + op.nu
     worst = -np.inf
     for z, zp in zip(zs, zps):
-        d = zp - z
-        dn = float(np.linalg.norm(d))
+        dn = float(np.linalg.norm(zp - z))
         if dn == 0.0:
             continue
-        if order == 3:
-            t2 = op.value(z) + op.jacobian(z) @ d + 0.5 * op.deriv_apply(2, z, (d, d))
-            rem = float(np.linalg.norm(op.value(zp) - t2))
-        else:
-            rem = float(np.linalg.norm(op.value(zp) - op.value(z) - op.jacobian(z) @ d))
+        rem = float(np.linalg.norm(op.value(zp) - build(op, z)(zp)))
         bound = scale * dn ** expo
         worst = max(worst, rem - bound - 1e-12 * (1.0 + bound))
     return worst
@@ -123,7 +126,7 @@ def jacobian_fd_worst(inst: ProblemInstance, n_points: int = 100,
     while n < n_points:
         z = fs.sample(rng, 1)[0]
         if kink:
-            s = 0.25 * inst.diameter / math.sqrt(op.dim)  # band edge r/2
+            s = 0.25 * fs.diameter / math.sqrt(op.dim)  # band edge r/2
             if np.any(np.abs(np.abs(z) - s) < 10.0 * step):
                 continue
         n += 1
@@ -139,12 +142,16 @@ def jacobian_fd_worst(inst: ProblemInstance, n_points: int = 100,
 
 
 def _scaled(insts: List[ProblemInstance], h_scale: float) -> List[ProblemInstance]:
+    """The instances with each operator's H and H_3 times ``h_scale``."""
     if h_scale == 1.0:
         return insts
-    return [replace(i, declared_H=i.declared_H * h_scale,
-                    declared_H_p3=None if i.declared_H_p3 is None
-                    else i.declared_H_p3 * h_scale)
-            for i in insts]
+    scaled = []
+    for i in insts:
+        op = i.operator
+        H3 = None if op.holder_const_p3 is None else op.holder_const_p3 * h_scale
+        scaled.append(replace(i, operator=replace(
+            op, holder_const=op.holder_const * h_scale, holder_const_p3=H3)))
+    return scaled
 
 
 def _check_geometry(out: List[CheckResult]) -> None:
@@ -290,8 +297,8 @@ def _run_difference(a, b) -> Optional[str]:
 
 def _check_reduction(out: List[CheckResult]) -> None:
     inst = make_power(5, 0.5, 1.0)
-    z0, H0 = default_start(inst), inst.declared_H / (1.0 + inst.declared_nu)
     op, fs = inst.operator, inst.feasible
+    z0, H0 = default_start(inst), op.holder_const / (1.0 + op.nu)
     pairs = (
         ("adaptive p=2 tensor matches second-order", run_nu_aren, run_nu_aret,
          "nu-aret", SolverConfig(method="nu-aren", nu=0.5, H0=H0, K=20, eps=1e-9)),
@@ -317,10 +324,11 @@ def _check_bounds(out: List[CheckResult], insts: List[ProblemInstance]) -> None:
                            f"nu=1, H=D=1, eps=1e-3 -> {k_for_accuracy(1.0, 1.0, 1.0, 1e-3)}"))
 
     inst = insts[0]  # power nu=0.5
+    op = inst.operator
     z0 = default_start(inst)
-    H0 = declared_ceiling(2, inst.declared_nu, inst.declared_H) / 2.0
-    cfg = SolverConfig(method="nu-aren", nu=inst.declared_nu, H0=H0, K=30, eps=1e-6)
-    res = run_nu_aren(inst.operator, inst.feasible, z0, cfg)
+    H0 = declared_ceiling(2, op.nu, op.holder_const) / 2.0
+    cfg = SolverConfig(method="nu-aren", nu=op.nu, H0=H0, K=30, eps=1e-6)
+    res = run_nu_aren(op, inst.feasible, z0, cfg)
     hb = res.bound_checks["H_bound"]
     out.append(CheckResult("bounds", "adaptive coefficient stays below ceiling",
                            hb.status == "pass",
@@ -330,9 +338,9 @@ def _check_bounds(out: List[CheckResult], insts: List[ProblemInstance]) -> None:
                            ob.status == "pass",
                            f"trials {ob.measured} vs budget {ob.bound}"))
 
-    cfgu = SolverConfig(method="uren", nu=inst.declared_nu, H0=1.0, K=30,
+    cfgu = SolverConfig(method="uren", nu=op.nu, H0=1.0, K=30,
                         eps=1e-30, inner_tol=1e-10)
-    resu = run_uren(inst.operator, inst.feasible, z0, cfgu)
+    resu = run_uren(op, inst.feasible, z0, cfgu)
     uc = resu.bound_checks["universal_cap"]
     out.append(CheckResult("bounds", "universal trial coefficients below cap",
                            uc.status in ("pass", "flag"),
@@ -348,13 +356,13 @@ def _check_gap(out: List[CheckResult], insts: List[ProblemInstance]) -> None:
                                g <= 1e-8, f"gap bound at the solution {g:.2e}"))
     for inst in planar_instances():
         z0 = default_start(inst)
-        H = max(inst.declared_H, 0.5)
-        cfg = SolverConfig(method="nu-aren", nu=inst.declared_nu, H0=H, K=12,
-                           eps=1e-6)
-        res = run_nu_aren(inst.operator, inst.feasible, z0, cfg)
+        op = inst.operator
+        cfg = SolverConfig(method="nu-aren", nu=op.nu, H0=max(op.holder_const, 0.5),
+                           K=12, eps=1e-6)
+        res = run_nu_aren(op, inst.feasible, z0, cfg)
         zbar = res.averaged_point
-        gu = gap_upper_bound(inst.operator, inst.feasible, zbar).gap_upper
-        gm = grid_gap_max(inst.operator, inst.feasible, zbar, n=200)
+        gu = gap_upper_bound(op, inst.feasible, zbar).gap_upper
+        gm = grid_gap_max(op, inst.feasible, zbar, n=200)
         out.append(CheckResult("gap", f"grid vs certificate {inst.name}",
                                gm <= gu + 1e-6,
                                f"grid max {gm:.3e} vs bound {gu:.3e}"))
@@ -362,8 +370,8 @@ def _check_gap(out: List[CheckResult], insts: List[ProblemInstance]) -> None:
 
 def run_checks(only: Optional[str] = None, h_scale: float = 1.0) -> List[CheckResult]:
     """Run the verification suite, optionally one group, optionally with
-    declared constants rescaled (a negative control: 0.5 must fail the
-    remainder sweeps)."""
+    the operators' declared constants rescaled (a negative control: 0.5
+    must fail the remainder sweeps)."""
     if only is not None and only not in GROUPS:
         raise ConfigError(f"unknown check group {only!r}; expected one of "
                           f"{', '.join(GROUPS)}")
@@ -384,17 +392,18 @@ def run_checks(only: Optional[str] = None, h_scale: float = 1.0) -> List[CheckRe
             out.append(CheckResult("remainder", f"first-order sweep {inst.name}",
                                    w <= 0.0, f"worst slack-adjusted violation {w:+.2e}"))
         for inst in insts:
-            if inst.declared_H_p3 is not None:
+            if inst.operator.holder_const_p3 is not None:
                 w = remainder_sweep(inst, order=3)
                 out.append(CheckResult("remainder", f"second-order sweep {inst.name}",
                                        w <= 0.0, f"worst violation {w:+.2e}"))
     if want("holder"):
         for inst in insts:
-            est = estimate_holder_constant(inst.operator, inst.feasible,
-                                           inst.declared_nu, n_samples=10_000, seed=0)
-            ok = est <= inst.declared_H * (1.0 + 1e-6)
+            op = inst.operator
+            est = estimate_holder_constant(op, inst.feasible, op.nu,
+                                           n_samples=10_000, seed=0)
+            ok = est <= op.holder_const * (1.0 + 1e-6)
             out.append(CheckResult("holder", f"sampled ratio {inst.name}", ok,
-                                   f"estimate {est:.6g} vs declared {inst.declared_H:.6g}"))
+                                   f"estimate {est:.6g} vs declared {op.holder_const:.6g}"))
     if want("jacobian"):
         for inst in insts:
             w = jacobian_fd_worst(inst)

@@ -4,7 +4,8 @@ Each test checks one advertised property at its stated tolerance on the
 canonical instances, prints a single verdict line, and appends it to the
 scorecard echoed after the run (see ``pytest_terminal_summary`` in
 conftest).  Slopes come from log-log fits of the certified gap against
-the iteration budget over the desk-scale grid K = 16 .. 1024.
+the iteration budget over the desk-scale grid K = 16 .. 1024, read from
+one K = 1024 run per sweep (``_grid_gaps``).
 
 These are the expensive tests in the suite.  Sweeps shared between
 criteria live in module-scoped fixtures.  Four verdicts (declared
@@ -22,7 +23,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES, verify_checks
 from holder_vi.cli import main
 from holder_vi.core import SolverConfig
-from holder_vi.metrics import FLAG, PASS, fit_rate_slope, gap_upper_bound
+from holder_vi.metrics import FLAG, PASS, bound_verdicts, fit_rate_slope, gap_upper_bound
 from holder_vi.problems import default_start
 from holder_vi.solvers import (
     k_for_accuracy,
@@ -59,43 +60,42 @@ def _slope(trace):
         return fit_rate_slope(trace)
 
 
-def _sweep(run_one, grid=GRID):
-    return [(K, run_one(K)) for K in grid]
+def _grid_gaps(run):
+    """(K, final gap of the same run stopped after K iterations) over GRID.
+
+    A run's first K records do not depend on its budget, and with gap
+    cadence 1 record K-1 holds the gap of the average of K half steps,
+    which is what a K-iteration run reports as its final gap.  A run
+    that stopped before K (convergence or early exit) stops the same
+    way under every larger budget, so its own final gap is the answer.
+    """
+    return [(K, run.records[K - 1].gap_avg if K <= len(run.records) else run.final_gap)
+            for K in GRID]
+
+
+def _grid_run(run, inst, **cfg):
+    """One run of ``run`` on ``inst`` from the default start at K = GRID[-1]."""
+    return run(inst.operator, inst.feasible, default_start(inst),
+               SolverConfig(K=GRID[-1], **cfg))
 
 
 @pytest.fixture(scope="module")
 def piecewise_ren_trace(piecewise):
     """Fixed-coefficient run on the kinked instance, H = 2L, over the grid."""
-    inst = piecewise
-    z0 = default_start(inst)
-
-    def one(K, inst=inst, z0=z0):
-        cfg = SolverConfig(method="nu-ren", nu=0.0, H=inst.declared_H, K=K,
-                           eps=1e-9)
-        res = run_nu_ren(inst.operator, inst.feasible, z0, cfg)
-        return res.final_gap
-
-    return _sweep(one)
+    return _grid_gaps(_grid_run(run_nu_ren, piecewise, method="nu-ren", nu=0.0,
+                                H=piecewise.operator.holder_const, eps=1e-9))
 
 
 @pytest.fixture(scope="module")
 def universal_runs(power_nu_half, power_nu1):
-    """Universal second-order runs over the grid, one list per smoothness.
+    """Universal second-order K = 1024 runs, one per smoothness.
 
     eps = 1e-30 keeps the gap test from ever firing, so every run goes
     the full K and the cap verdicts are meaningful.
     """
-    out = {}
-    for nu, inst in ((0.5, power_nu_half), (1.0, power_nu1)):
-        z0 = default_start(inst)
-
-        def one(K, inst=inst, z0=z0):
-            cfg = SolverConfig(method="uren", H0=1.0, K=K, eps=1e-30,
-                               inner_tol=1e-10)
-            return run_uren(inst.operator, inst.feasible, z0, cfg)
-
-        out[nu] = (inst, [one(K) for K in GRID])
-    return out
+    return {nu: (inst, _grid_run(run_uren, inst, method="uren", H0=1.0, eps=1e-30,
+                                 inner_tol=1e-10))
+            for nu, inst in ((0.5, power_nu_half), (1.0, power_nu1))}
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +103,8 @@ def conforming_runs(power_nu_half, power_nu1, piecewise):
     """Adaptive runs started from H0 = H / (1 + nu), one per instance."""
     runs = []
     for inst in (power_nu_half, power_nu1, piecewise):
-        nu = inst.declared_nu
-        H0 = inst.declared_H / (1.0 + nu)
+        nu = inst.operator.nu
+        H0 = inst.operator.holder_const / (1.0 + nu)
         z0 = default_start(inst)
         cfg = SolverConfig(method="nu-aren", nu=nu, H0=H0, K=48, eps=1e-9)
         res = run_nu_aren(inst.operator, inst.feasible, z0, cfg)
@@ -118,15 +118,9 @@ def test_rate_fixed_extra_newton(power_nu_half, power_nu1, piecewise_ren_trace):
     details = []
     ok = True
     for nu, inst in ((0.5, power_nu_half), (1.0, power_nu1)):
-        z0 = default_start(inst)
-        H = inst.declared_H
-
-        def one(K, inst=inst, z0=z0, H=H, nu=nu):
-            cfg = SolverConfig(method="nu-ren", nu=nu, H=H, K=K, eps=1e-9)
-            res = run_nu_ren(inst.operator, inst.feasible, z0, cfg)
-            return res.final_gap
-
-        slope = _slope(_sweep(one))
+        run = _grid_run(run_nu_ren, inst, method="nu-ren", nu=nu,
+                        H=inst.operator.holder_const, eps=1e-9)
+        slope = _slope(_grid_gaps(run))
         target = -(2.0 + nu) / 2.0 + 0.25
         ok = ok and slope <= target
         details.append(f"power nu={nu:g} slope {slope:.2f} vs {target:g}")
@@ -144,8 +138,8 @@ def test_iteration_recipe_reaches_accuracy(power_nu1):
     details = []
     ok = True
     for eps in (1e-2, 1e-3):
-        K = k_for_accuracy(1.0, inst.declared_H, inst.diameter, eps)
-        cfg = SolverConfig(method="nu-ren", nu=1.0, H=inst.declared_H, K=K,
+        K = k_for_accuracy(1.0, inst.operator.holder_const, inst.feasible.diameter, eps)
+        cfg = SolverConfig(method="nu-ren", nu=1.0, H=inst.operator.holder_const, K=K,
                            eps=eps)
         res = run_nu_ren(inst.operator, inst.feasible, z0, cfg)
         g = gap_upper_bound(inst.operator, inst.feasible,
@@ -161,7 +155,7 @@ def test_adaptive_coefficient_ceiling(conforming_runs):
     details = []
     ok = True
     for inst, H0, res in conforming_runs:
-        ceiling = 2.0 * inst.declared_H / (1.0 + inst.declared_nu)
+        ceiling = 2.0 * inst.operator.holder_const / (1.0 + inst.operator.nu)
         hmax = max(r.H_k for r in res.records)
         ok = ok and hmax <= ceiling * (1.0 + 1e-9)
         ok = ok and res.bound_checks["H_bound"].status == PASS
@@ -174,7 +168,7 @@ def test_adaptive_linesearch_budget(conforming_runs):
     details = []
     ok = True
     for inst, H0, res in conforming_runs:
-        ceiling = 2.0 * inst.declared_H / (1.0 + inst.declared_nu)
+        ceiling = 2.0 * inst.operator.holder_const / (1.0 + inst.operator.nu)
         k_run = len(res.records)
         spent = sum(r.i_k + 1 for r in res.records)
         budget = 2.0 * k_run + math.log2(ceiling) - math.log2(H0) + 1.0
@@ -190,9 +184,8 @@ def test_rate_universal(universal_runs):
     details = []
     ok = True
     for nu in sorted(universal_runs):
-        inst, runs = universal_runs[nu]
-        trace = [(K, r.final_gap) for K, r in zip(GRID, runs)]
-        slope = _slope(trace)
+        _, run = universal_runs[nu]
+        slope = _slope(_grid_gaps(run))
         target = -3.0 * (1.0 + nu) / 4.0 + 0.3
         ok = ok and slope <= target
         details.append(f"nu={nu:g} slope {slope:.2f} vs {target:g}")
@@ -201,14 +194,17 @@ def test_rate_universal(universal_runs):
 
 def test_universal_cap(universal_runs):
     """Post-hoc coefficient cap holds on every full-length universal run
-    (flag band tolerated, failures not)."""
+    (flag band tolerated, failures not).  The run at K is the first K
+    records of the K = 1024 run, so its verdict is computed from them."""
     statuses = []
     ok = True
     for nu in sorted(universal_runs):
-        _, runs = universal_runs[nu]
-        for r in runs:
-            ok = ok and r.early_exit is None
-            v = r.bound_checks["universal_cap"]
+        inst, run = universal_runs[nu]
+        ok = ok and run.early_exit is None
+        op, cfg = inst.operator, run.config
+        for K in GRID:
+            v = bound_verdicts(run.records[:K], run.method, op.nu, op.holder_const,
+                               inst.feasible.diameter, cfg.H0, cfg.eps)["universal_cap"]
             ok = ok and v.status in (PASS, FLAG)
             statuses.append(v.status)
     counts = {s: statuses.count(s) for s in sorted(set(statuses))}
@@ -270,24 +266,10 @@ def test_order_two_tensor_reduction(verify_results):
 def test_baseline_separation(bilinear, quartic):
     """Extragradient fits its known 1/K rate on the bilinear instance while
     the second-order method is visibly faster on the quartic one."""
-    z0b = default_start(bilinear)
-
-    def eg_one(K, z0b=z0b):
-        cfg = SolverConfig(method="extragradient", K=K, eps=1e-9)
-        res = run_extragradient(bilinear.operator, bilinear.feasible, z0b, cfg)
-        return res.final_gap
-
-    eg_slope = _slope(_sweep(eg_one))
-
-    z0q = default_start(quartic)
-    Hq = quartic.declared_H
-
-    def ren_one(K, z0q=z0q, Hq=Hq):
-        cfg = SolverConfig(method="nu-ren", nu=1.0, H=Hq, K=K, eps=1e-9)
-        res = run_nu_ren(quartic.operator, quartic.feasible, z0q, cfg)
-        return res.final_gap
-
-    ren_slope = _slope(_sweep(ren_one))
+    eg_slope = _slope(_grid_gaps(_grid_run(run_extragradient, bilinear,
+                                           method="extragradient", eps=1e-9)))
+    ren_slope = _slope(_grid_gaps(_grid_run(run_nu_ren, quartic, method="nu-ren", nu=1.0,
+                                            H=quartic.operator.holder_const, eps=1e-9)))
     ok = (-1.3 <= eg_slope <= -0.7) and ren_slope <= -1.25 \
         and eg_slope - ren_slope >= 0.3
     _verdict("baseline separation", ok,

@@ -343,6 +343,16 @@ def test_verify_negative_control_fails(capsys):
     assert "checks passed" in out
 
 
+def test_verify_negative_control_scales_the_bounds_group(capsys):
+    # the halved constants reach the runs' own verdicts: ceiling 2H/(1+nu)
+    # and the line-search budget that grows with log2 of it
+    rc = main(["verify", "--only", "bounds", "--scale-declared-h", "0.5"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "vs ceiling 1.000000000001 on power:d=5,nu=0.5" in out
+    assert "trials 58.0 vs budget 62.0" in out
+
+
 def test_verify_rejects_unknown_group():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--only", "everything"])

@@ -310,4 +310,4 @@ def test_estimated_constant_stays_below_declared(power_nu_half):
     est = estimate_holder_constant(power_nu_half.operator,
                                    power_nu_half.feasible, 0.5,
                                    n_samples=300)
-    assert 0.0 < est <= power_nu_half.declared_H
+    assert 0.0 < est <= power_nu_half.operator.holder_const

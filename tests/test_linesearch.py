@@ -52,7 +52,7 @@ def test_affine_operator_accepts_immediately(bilinear):
 def test_large_coefficient_accepts_on_first_trial(power_nu1):
     # H_k = 2 H_nu is comfortably above the acceptance threshold H_nu/(1+nu)
     rng = np.random.default_rng(7)
-    H_k = 2.0 * power_nu1.declared_H
+    H_k = 2.0 * power_nu1.operator.holder_const
     for z in power_nu1.feasible.sample(rng, 20):
         out = search(power_nu1.operator, power_nu1.feasible, z, H_k,
                      SearchMode.holder(1.0), 1e-10, 60)

@@ -92,7 +92,7 @@ def test_remainder_below_bound_on_sampled_pairs(rng):
     for z, zp in zip(zs, zps):
         m = build_linear_model(op, z)
         rem = float(np.linalg.norm(op.value(zp) - m(zp)))
-        bound = remainder_bound(0.5, inst.declared_H, float(np.linalg.norm(zp - z)))
+        bound = remainder_bound(0.5, op.holder_const, float(np.linalg.norm(zp - z)))
         assert rem <= bound + 1e-12 * (1.0 + bound)
 
 

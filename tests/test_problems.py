@@ -43,8 +43,8 @@ def test_power_jacobian_at_unit_vector(power_nu1):
 
 
 def test_power_declared_constant_is_padded_closed_form(power_nu1):
-    assert 1.9 < power_nu1.declared_H <= 2.0 * (1.0 + 1e-6)
-    assert power_nu1.declared_H > 2.0  # strict pad above the supremum
+    assert 1.9 < power_nu1.operator.holder_const <= 2.0 * (1.0 + 1e-6)
+    assert power_nu1.operator.holder_const > 2.0  # strict pad above the supremum
 
 
 def test_power_rejects_nu_zero_pointing_to_piecewise():
@@ -96,8 +96,8 @@ def test_bilinear_second_derivative_vanishes(bilinear):
 
 
 def test_bilinear_declared_constants_zero(bilinear):
-    assert bilinear.declared_H == 0.0
-    assert bilinear.declared_H_p3 == 0.0
+    assert bilinear.operator.holder_const == 0.0
+    assert bilinear.operator.holder_const_p3 == 0.0
 
 
 def test_bilinear_rejects_odd_dimension():
@@ -139,9 +139,9 @@ def test_matrix_of_directions_stacks_the_vector_calls(seed, name):
 
 
 def test_quartic_declared_constants(quartic):
-    assert quartic.declared_H == pytest.approx(6.0, rel=1e-9)
-    assert quartic.declared_H_p3 == pytest.approx(6.0, rel=1e-9)
-    assert quartic.declared_H > 6.0  # padded above the exact norm
+    assert quartic.operator.holder_const == pytest.approx(6.0, rel=1e-9)
+    assert quartic.operator.holder_const_p3 == pytest.approx(6.0, rel=1e-9)
+    assert quartic.operator.holder_const > 6.0  # padded above the exact norm
 
 
 def test_quartic_rejects_odd_dimension():
@@ -163,8 +163,8 @@ def test_piecewise_jacobian_jump_within_declared(piecewise):
     outside = np.full(5, 0.55)
     jump = np.linalg.norm(op.jacobian(inside) - op.jacobian(outside), 2)
     assert jump == pytest.approx(1.0)
-    assert jump <= piecewise.declared_H * (1.0 + 1e-9)
-    assert piecewise.declared_H == 2.0  # 2 L exactly, no pad needed
+    assert jump <= piecewise.operator.holder_const * (1.0 + 1e-9)
+    assert piecewise.operator.holder_const == 2.0  # 2 L exactly, no pad needed
 
 
 def test_piecewise_feasible_is_box(piecewise):
@@ -211,7 +211,7 @@ def test_parse_defaults_per_family():
 def test_parse_overrides_and_whitespace():
     inst = parse_problem("power: d=3, nu=0.5, r=2.0")
     assert inst.operator.dim == 3
-    assert inst.declared_nu == 0.5
+    assert inst.operator.nu == 0.5
     assert inst.feasible.radius == 2.0
 
 

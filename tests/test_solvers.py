@@ -1,13 +1,13 @@
 """Outer loops: fixed, adaptive, universal, and the extragradient baseline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from holder_vi.core import Ball, Box, Operator, SolverConfig, WholeSpace
 from holder_vi.errors import ConfigError, DegenerateRegularization
-from holder_vi.metrics import theorem_bound_report
 from holder_vi.problems import default_start, make_power
 from holder_vi.solvers import (
     ergodic_average,
@@ -69,7 +69,7 @@ def test_zero_gamma_means_converged():
 
 
 def test_gap_decreases_on_power(power_nu1):
-    cfg = SolverConfig(method="nu-ren", nu=1.0, H=power_nu1.declared_H, K=30)
+    cfg = SolverConfig(method="nu-ren", nu=1.0, H=power_nu1.operator.holder_const, K=30)
     run = run_nu_ren(power_nu1.operator, power_nu1.feasible,
                      default_start(power_nu1), cfg)
     gaps = [r.gap_avg for r in run.records]
@@ -148,9 +148,6 @@ def test_adaptive_bound_checks_populated(power_nu1):
     assert set(run.bound_checks) == {"C_nu", "H_bound", "oracle_budget",
                                      "universal_cap"}
     assert run.bound_checks["H_bound"].ok
-    report = theorem_bound_report(run, power_nu1, cfg)
-    assert {k: v.status for k, v in report.items()} == {
-        k: v.status for k, v in run.bound_checks.items()}
 
 
 def test_universal_early_exit_contract(power_nu1):
@@ -203,6 +200,44 @@ def test_run_parameter_validation(power_nu1):
             run(power_nu1.operator, power_nu1.feasible, z0, cfg)
 
 
+# ------------------------------------------------------ runs as prefixes
+# A run at K is the first K iterations of a longer run from the same start,
+# so the K-grid sweeps read every grid point from one run.
+
+def _same_records(a, b):
+    """Records agree field by field, wall clock aside."""
+    return len(a) == len(b) and all(
+        np.array_equal(value, getattr(y, name))
+        for x, y in zip(a, b) for name, value in vars(x).items() if name != "wall_ns")
+
+
+@pytest.mark.parametrize("run, cfg", [
+    (run_nu_aren, SolverConfig(method="nu-aren", nu=1.0, H0=1.0, K=6)),
+    (run_uren, SolverConfig(method="uren", H0=1.0, K=6, eps=1e-30, inner_tol=1e-10)),
+    (run_nu_ren, SolverConfig(method="nu-ren", nu=1.0, H=2.0, K=6)),
+    (run_extragradient, SolverConfig(method="extragradient", K=6)),
+], ids=["nu-aren", "uren", "nu-ren", "extragradient"])
+def test_run_is_a_prefix_of_a_longer_run(power_nu1, run, cfg):
+    z0 = default_start(power_nu1)
+    short = run(power_nu1.operator, power_nu1.feasible, z0, cfg)
+    long = run(power_nu1.operator, power_nu1.feasible, z0, replace(cfg, K=2 * cfg.K))
+    assert len(short.records) == cfg.K and len(long.records) == 2 * cfg.K
+    assert _same_records(short.records, long.records[:cfg.K])
+    assert short.final_gap == short.records[-1].gap_avg
+    assert short.final_gap == long.records[cfg.K - 1].gap_avg
+
+
+def test_run_that_stops_early_stops_the_same_under_a_larger_budget(power_nu1):
+    # the gap test fires at k = 5, before either budget runs out
+    cfg = SolverConfig(method="uren", H0=1.0, K=8, eps=1e-4)
+    z0 = default_start(power_nu1)
+    short = run_uren(power_nu1.operator, power_nu1.feasible, z0, cfg)
+    long = run_uren(power_nu1.operator, power_nu1.feasible, z0, replace(cfg, K=16))
+    assert short.early_exit is not None and short.early_exit.k < cfg.K
+    assert _same_records(short.records, long.records)
+    assert short.final_gap == long.final_gap
+
+
 # ------------------------------------------------------------- gap probing
 
 def test_whole_space_gap_is_nan_without_report_radius():
@@ -218,7 +253,7 @@ def test_whole_space_gap_is_nan_without_report_radius():
 
 
 def test_gap_cadence_skips_average_evaluation(power_nu1):
-    cfg = SolverConfig(method="nu-ren", nu=1.0, H=power_nu1.declared_H, K=7,
+    cfg = SolverConfig(method="nu-ren", nu=1.0, H=power_nu1.operator.holder_const, K=7,
                        gap_cadence=3)
     run = run_nu_ren(power_nu1.operator, power_nu1.feasible,
                      default_start(power_nu1), cfg)
@@ -229,7 +264,7 @@ def test_gap_cadence_skips_average_evaluation(power_nu1):
 
 
 def test_start_point_is_projected(power_nu1):
-    cfg = SolverConfig(method="nu-ren", nu=1.0, H=power_nu1.declared_H, K=3)
+    cfg = SolverConfig(method="nu-ren", nu=1.0, H=power_nu1.operator.holder_const, K=3)
     run = run_nu_ren(power_nu1.operator, power_nu1.feasible, np.full(5, 10.0), cfg)
     for r in run.records:
         assert power_nu1.feasible.contains(r.half_step, tol=1e-9)

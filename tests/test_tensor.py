@@ -298,16 +298,16 @@ def test_universal_exits_immediately_from_solution(bilinear):
 
 
 def test_universal_cap_bound_eps_free_at_lipschitz(power_nu1):
-    # p=2 universal on a nu=1 problem: the cap is declared_H/2 whatever eps
+    # p=2 universal on a nu=1 problem: the cap is H/2 whatever eps
     cfg = SolverConfig(method="uret", H0=1.0, K=5, eps=1e-30, inner_tol=1e-10,
                        p=2)
     run = run_uret(power_nu1.operator, power_nu1.feasible,
                    default_start(power_nu1), cfg)
     assert run.early_exit is None
-    caps = [bound_verdicts(run.records, "uret", 1.0, power_nu1.declared_H,
-                           power_nu1.diameter, cfg.H0, eps, p=2)
+    caps = [bound_verdicts(run.records, "uret", 1.0, power_nu1.operator.holder_const,
+                           power_nu1.feasible.diameter, cfg.H0, eps, p=2)
             ["universal_cap"].bound for eps in (1e-3, 1e-9)]
-    assert caps[0] == pytest.approx(power_nu1.declared_H / 2.0, rel=1e-12)
+    assert caps[0] == pytest.approx(power_nu1.operator.holder_const / 2.0, rel=1e-12)
     assert caps[0] == caps[1]
 
 
