@@ -132,8 +132,7 @@ def _parse_ini(text: str, source: str) -> dict:
 
 
 def _conforming_H0(instance: ProblemInstance, nu: float, p: int) -> float:
-    op = instance.operator
-    H = op.holder_const_p3 if p >= 3 else op.holder_const
+    H = instance.operator.declared_const(p)
     if H is None:
         raise ConfigError(
             f"problem {instance.name} declares no order-{p} constant; "

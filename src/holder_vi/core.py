@@ -72,6 +72,11 @@ class Operator:
     holder_const: Optional[float] = None
     holder_const_p3: Optional[float] = None
 
+    def declared_const(self, order: int) -> Optional[float]:
+        """The declared constant of the order-``order`` remainder:
+        ``holder_const_p3`` from order 3 on, else ``holder_const``."""
+        return self.holder_const_p3 if order >= 3 else self.holder_const
+
     def value(self, z: Array) -> Array:
         out = np.asarray(self.fn(z), dtype=np.float64)
         if out.shape != (self.dim,) or not np.all(np.isfinite(out)):

@@ -56,6 +56,9 @@ class LineSearchOutcome:
     trials: List[Tuple[float, float, float]] = field(default_factory=list)
     f_at_accepted: Optional[Array] = None
     early_exit_gap: Optional[float] = None
+    # the normal-map point Newton certified at the accepted trial (None
+    # when PEG solved it): the next search's retry start
+    x_at_accepted: Optional[Array] = None
 
 
 def next_H(H_k: float, i_k: int) -> float:
@@ -75,7 +78,7 @@ def search(op: Operator, feasible: FeasibleSet, z_k: Array, H_k: float,
            mode: SearchMode, inner_tol: float, max_doublings: int,
            gap_check: Optional[Callable[[Array, Array], float]] = None,
            gap_target: Optional[float] = None,
-           counters=None) -> LineSearchOutcome:
+           counters=None, retry: Optional[Array] = None) -> LineSearchOutcome:
     """Smallest i in {0..max_doublings} whose trial at H_k 2^i is accepted.
 
     Every trial solves the order-``mode.order`` model built at z_k.  An
@@ -84,6 +87,10 @@ def search(op: Operator, feasible: FeasibleSet, z_k: Array, H_k: float,
     an inner failure propagates.  When ``gap_check`` is given (universal
     modes) it is evaluated at every trial point before the criterion, and
     a value <= gap_target short-circuits the search (``early_exit_gap``).
+    Newton starts each trial from the last certified trial's normal-map
+    point (the models differ only in H), and falls back on ``retry``, the
+    caller's last accepted one; the accepted trial's point is returned
+    as ``x_at_accepted``.
     """
     if not H_k > 0:
         raise ValueError(f"H_k must be positive, got {H_k}")
@@ -91,18 +98,21 @@ def search(op: Operator, feasible: FeasibleSet, z_k: Array, H_k: float,
     base = build(op, z_k)
 
     trials: List[Tuple[float, float, float]] = []
+    warm = None
     for i in range(max_doublings + 1):
         H_trial = H_k * 2.0 ** i
         if counters is not None:
             counters.subproblems += 1
         try:
             sol = solve_model_vi(RegularizedModel(base, mode.reg_power, H_trial),
-                                 feasible, inner_tol)
+                                 feasible, inner_tol, warm=warm, retry=retry)
         except SubproblemFailure:
             if mode.order == 2:
                 raise
             trials.append((H_trial, float("inf"), 0.0))
             continue
+        if sol.x is not None:
+            warm = sol.x
         T = sol.point
         d = T - z_k
         step = math.sqrt(d @ d)
@@ -113,7 +123,7 @@ def search(op: Operator, feasible: FeasibleSet, z_k: Array, H_k: float,
                 return LineSearchOutcome(i_k=i, H_trial=H_trial,
                                          accepted_point=T, step_norm=step,
                                          trials=trials, f_at_accepted=fT,
-                                         early_exit_gap=g)
+                                         early_exit_gap=g, x_at_accepted=sol.x)
         e = fT - base(T)
         lhs = math.sqrt(e @ e)
         rhs = 0.5 * H_trial * step ** mode.criterion_exp
@@ -121,7 +131,7 @@ def search(op: Operator, feasible: FeasibleSet, z_k: Array, H_k: float,
         if criterion_accepts(lhs, rhs):
             return LineSearchOutcome(i_k=i, H_trial=H_trial, accepted_point=T,
                                      step_norm=step, trials=trials,
-                                     f_at_accepted=fT)
+                                     f_at_accepted=fT, x_at_accepted=sol.x)
     lines = ", ".join(f"(H={h:g}, lhs={l:g}, rhs={r:g})" for h, l, r in trials)
     raise LineSearchExhausted(
         f"criterion not met after {max_doublings} doublings from H={H_k:g} "

@@ -9,8 +9,9 @@ model's ``jacobian_at`` is its exact Jacobian, which the semismooth
 Newton inner solver needs; a quadratic base gets its D²F[d, ·] part from
 one D²F call on the identity matrix of directions.  A line search builds
 one base per outer iteration and regularizes it once per trial, so the
-base caches what every trial's solve reads of J: its norm and, for
-linear models, the monotonicity check.  That check is a Cholesky
+base caches what every trial's solve reads of J: its norm, for linear
+models the monotonicity check, and one d x d workspace that every
+Newton matrix of every trial is written into.  That check is a Cholesky
 factorization of (J + J^T)/2 + tau I with tau = 1e-8 (1 + |J|_F); only
 when it fails does ``eigvalsh`` run, for the eigenvalue that the
 fallback's warning reports.
@@ -43,6 +44,13 @@ class _TaylorBase:
         """Frobenius norm of J."""
         return float(np.linalg.norm(self.jacobian))
 
+    @cached_property
+    def workspace(self) -> Array:
+        """A d x d scratch buffer shared by the solves of every trial
+        regularized on this base; its contents are never kept."""
+        n = self.anchor.shape[0]
+        return np.empty((n, n))
+
 
 @dataclass(frozen=True)
 class LinearModel(_TaylorBase):
@@ -64,7 +72,7 @@ class LinearModel(_TaylorBase):
         if n > 400:
             return None
         tau = 1e-8 * (1.0 + self.jacobian_norm)
-        shifted = J + J.T
+        shifted = np.add(J, J.T, out=self.workspace)
         shifted *= 0.5
         shifted.flat[::n + 1] += tau
         try:
@@ -115,12 +123,12 @@ class RegularizedModel:
         nd = math.sqrt(d @ d)
         return self.base.taylor(d) + (self.H * nd ** self.power) * d
 
-    def jacobian_at(self, z: Array) -> Array:
+    def jacobian_at(self, z: Array, out: Optional[Array] = None) -> Array:
         """Base Jacobian + H (|d|^power I + power |d|^(power-2) d d^T), with
-        0^0 = 1, built in one new d x d buffer: the rank-1 term, J added
-        into it, then the diagonal written as (J_ii + c) + beta d_i^2, so
-        every entry rounds as in (J + c I) + beta d d^T.  The base Jacobian
-        is never written to."""
+        0^0 = 1, built in ``out`` (a new d x d buffer when None) and
+        returned: the rank-1 term, J added into it, then the diagonal
+        written as (J_ii + c) + beta d_i^2, so every entry rounds as in
+        (J + c I) + beta d d^T.  The base Jacobian is never written to."""
         d = z - self.base.anchor
         nd = math.sqrt(d @ d)
         J = self.base.jacobian_at(z)
@@ -128,12 +136,14 @@ class RegularizedModel:
         diag = J.diagonal() + c
         if nd > 0.0 and self.power != 0.0:
             beta = self.H * self.power * nd ** (self.power - 2.0)
-            out = np.multiply.outer(d, d)
+            out = np.multiply.outer(d, d, out=out)
             out *= beta
             out += J
             diag += beta * (d * d)
-        else:
+        elif out is None:
             out = J.copy()
+        else:
+            out[...] = J
         out.flat[::d.shape[0] + 1] = diag
         return out
 

@@ -234,10 +234,9 @@ def _drive(method: str, op: Operator, feasible: FeasibleSet, z0: Array,
         out_point = avg.point
     gap = probe(out_point)
     nu_decl = op.nu if op.nu is not None else cfg.nu
-    H_decl = op.holder_const_p3 if cfg.p >= 3 else op.holder_const
-    checks = bound_verdicts(records, method, nu_decl, H_decl, feasible.diameter,
-                            cfg.H0, cfg.eps, early_exit=early is not None,
-                            p=cfg.p)
+    checks = bound_verdicts(records, method, nu_decl, op.declared_const(cfg.p),
+                            feasible.diameter, cfg.H0, cfg.eps,
+                            early_exit=early is not None, p=cfg.p)
     return RunResult(method=method, averaged_point=out_point, final_gap=gap,
                      records=records, early_exit=early, bound_checks=checks,
                      converged_at=converged_at, counters=counters, config=cfg,
@@ -248,12 +247,19 @@ def _search_step(feasible: FeasibleSet, mode: SearchMode, cfg: SolverConfig,
                  eps_exit: Optional[float] = None) -> Callable:
     """Half step of the line-search methods: ``search`` from the carried H.
 
-    ``eps_exit`` switches on the universal early exit.
+    ``eps_exit`` switches on the universal early exit.  The closure holds
+    the run's last accepted normal-map point, each search's retry start;
+    it is per run, never shared, as ``rates`` runs its grid on threads.
     """
+    last_x = None
+
     def half_step(cop, z, H, probe):
+        nonlocal last_x
         out = search(cop, feasible, z, H, mode, cfg.inner_tol, cfg.max_doublings,
                      gap_check=probe.from_value if eps_exit is not None else None,
-                     gap_target=eps_exit, counters=cop.counters)
+                     gap_target=eps_exit, counters=cop.counters, retry=last_x)
+        if out.x_at_accepted is not None:
+            last_x = out.x_at_accepted
         return _Half(out.accepted_point, out.f_at_accepted, out.step_norm,
                      gamma_of(out.H_trial, mode.reg_power, out.step_norm),
                      out.H_trial, out.i_k, out.early_exit_gap)
@@ -266,13 +272,20 @@ def run_nu_ren(op: Operator, feasible: FeasibleSet, z0: Array,
     """Fixed-coefficient extra-Newton run: model coefficient exactly 2 cfg.H.
 
     Stops early when a zero half step makes gamma vanish (the model
-    solution at z_k already solves the VI to inner_tol).
+    solution at z_k already solves the VI to inner_tol).  Newton falls
+    back on the run's last normal-map point when its default start stalls.
     """
+    last_x = None
+
     def half_step(cop, z, H, probe):
+        nonlocal last_x
         nu, coeff = cfg.nu, 2.0 * cfg.H
         base = build_linear_model(cop, z)
         cop.counters.subproblems += 1
-        sol = solve_model_vi(RegularizedModel(base, nu, coeff), feasible, cfg.inner_tol)
+        sol = solve_model_vi(RegularizedModel(base, nu, coeff), feasible, cfg.inner_tol,
+                             retry=last_x)
+        if sol.x is not None:
+            last_x = sol.x
         step = float(np.linalg.norm(sol.point - z))
         return _Half(sol.point, cop.value(sol.point), step,
                      gamma_of(coeff, nu, step), coeff)

@@ -2,13 +2,16 @@
 
 ``solve_model_vi`` is the one entry for every ``RegularizedModel``, of
 order 2 (linear base) or 3 (quadratic base), on every set.  It runs
-semismooth Newton on Robinson's normal map.  On a ball, a second-order
-model is first solved on the whole space: that point is the answer when
-it lies in the ball, and otherwise it starts the ball's Newton.  When
-Newton's answer is not certified, a projected extragradient (PEG) loop
-is the fallback, as it is for second-order models whose Jacobian has a
-negative symmetric part.  Accuracy is always certified by the
-natural-map residual |u - P(u - M(u))|.
+semismooth Newton on Robinson's normal map, from up to three starts in
+turn: a caller's warm point (the previous trial of a line search), the
+default anchor - M(anchor), and a caller's retry point (the run's last
+accepted solve).  On a ball, a second-order model is first solved on
+the whole space: that point is the answer when it lies in the ball, and
+otherwise it starts the ball's Newton.  When no start gives a certified
+answer, a projected extragradient (PEG) loop is the fallback, as it is
+for second-order models whose Jacobian has a negative symmetric part.
+Accuracy is always certified by the natural-map residual
+|u - P(u - M(u))|.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ class SubproblemSolution:
     method: str
     # ball constraints: t >= 0 with M(u) = -t (u - center), as |x - u| / r
     multiplier: Optional[float] = None
+    # the normal-map point Newton certified, u = P(x); None on the PEG path
+    x: Optional[Array] = None
 
 
 def natural_residual(model: Callable[[Array], Array], feasible: FeasibleSet,
@@ -85,7 +90,8 @@ def _newton(model, feasible: FeasibleSet, tol: float, x: Array):
     steps = 0
     reason = "normal-map residual met the tolerance"
     while steps < _NEWTON_MAX_STEPS:
-        G = feasible.normal_map_jacobian(x, model.jacobian_at(u))
+        JM = model.jacobian_at(u, out=model.base.workspace)
+        G = feasible.normal_map_jacobian(x, JM)
         try:
             s = np.linalg.solve(G, -r)
         except np.linalg.LinAlgError:
@@ -111,19 +117,61 @@ def _newton(model, feasible: FeasibleSet, tol: float, x: Array):
     return x, u, Mu, steps, reason
 
 
+def _starts(model: RegularizedModel, warm: Optional[Array],
+            retry: Optional[Array]):
+    """Newton's starts in order: warm, anchor - M(anchor), retry."""
+    if warm is not None:
+        yield warm
+    yield model.anchor - model(model.anchor)
+    if retry is not None:
+        yield retry
+
+
+def _newton_from(model: RegularizedModel, feasible: FeasibleSet, tol: float,
+                 x: Array):
+    """Newton from one start: (its answer, certified when the residual is
+    <= tol, and why Newton stopped)."""
+    steps = 0
+    if isinstance(feasible, Ball) and isinstance(model.base, LinearModel):
+        x, u, Mu, steps, reason = _newton(model, WholeSpace(feasible.dim), tol, x)
+        w = u - feasible.center
+        if w @ w <= feasible.radius ** 2:
+            res = _residual_at(feasible, u, Mu)
+            if res <= tol:
+                return SubproblemSolution(point=u, residual=res, evals=steps,
+                                          method="newton", multiplier=0.0, x=x), reason
+    x, u, Mu, more, reason = _newton(model, feasible, tol, x)
+    multiplier = None
+    if isinstance(feasible, Ball):
+        v = x - u
+        multiplier = math.sqrt(v @ v) / feasible.radius
+    return SubproblemSolution(point=u, residual=_residual_at(feasible, u, Mu),
+                              evals=steps + more, method="newton",
+                              multiplier=multiplier, x=x), reason
+
+
 def newton_normal_map(model: RegularizedModel, feasible: FeasibleSet,
-                      tol: float) -> Optional[SubproblemSolution]:
+                      tol: float, warm: Optional[Array] = None,
+                      retry: Optional[Array] = None
+                      ) -> Optional[SubproblemSolution]:
     """Semismooth Newton on Robinson's normal map of the model VI.
 
     Works on a regularized model of either base.  With u = P(x), the
     normal map r(x) = M(u) + x - u vanishes exactly when u solves the VI;
-    the Newton matrix is JM(u) JP(x) + I - JP(x), and steps are
-    backtracked (Armijo) on |r|.  The start is x0 = anchor - M(anchor).
+    the Newton matrix is JM(u) JP(x) + I - JP(x), written into the base's
+    one d x d workspace, and steps are backtracked (Armijo) on |r|.
     Newton stops once |r| <= tol right after a step that cut |r| at least
     tenfold (so slowly converging degenerate roots keep refining), or when
     the backtracking stalls.  Since P is nonexpansive, |r| bounds the
     natural residual at u, which certifies the answer; the certificate
     reuses the M(u) of Newton's last normal-map evaluation.
+
+    The starts are tried in turn until one certifies: ``warm`` when
+    given, then x0 = anchor - M(anchor), then ``retry`` when given.  A
+    line search passes its previous trial's normal-map point as ``warm``
+    (the models differ only in H) and the run's last accepted one as
+    ``retry``, which rescues solves that stall from x0, as near-skew
+    models on a box do once H has been halved towards 0.
 
     A second-order model on a ball is first solved on the whole space,
     which the normal map's kink at the sphere cannot trap: near-skew
@@ -131,33 +179,21 @@ def newton_normal_map(model: RegularizedModel, feasible: FeasibleSet,
     That point is the answer when it lies in the ball and certifies there
     (multiplier 0); otherwise the ball's Newton starts from it.
 
-    Returns None, after a RuntimeWarning, when the natural residual stays
-    above ``tol``; the caller then falls back to projected extragradient.
-    ``evals`` counts Newton steps.
+    Returns None, after a RuntimeWarning, when no start brings the
+    natural residual below ``tol``; the caller then falls back to
+    projected extragradient.  ``evals`` counts Newton steps over every
+    start tried, and ``x`` is the certified normal-map point.
     """
-    x = model.anchor - model(model.anchor)
     steps = 0
-    if isinstance(feasible, Ball) and isinstance(model.base, LinearModel):
-        x, u, Mu, steps, _ = _newton(model, WholeSpace(feasible.dim), tol, x)
-        w = u - feasible.center
-        if w @ w <= feasible.radius ** 2:
-            res = _residual_at(feasible, u, Mu)
-            if res <= tol:
-                return SubproblemSolution(point=u, residual=res, evals=steps,
-                                          method="newton", multiplier=0.0)
-    x, u, Mu, more, reason = _newton(model, feasible, tol, x)
-    steps += more
-    res = _residual_at(feasible, u, Mu)
-    if res <= tol:
-        multiplier = None
-        if isinstance(feasible, Ball):
-            v = x - u
-            multiplier = math.sqrt(v @ v) / feasible.radius
-        return SubproblemSolution(point=u, residual=res, evals=steps,
-                                  method="newton", multiplier=multiplier)
-    warnings.warn(f"semismooth Newton stopped ({reason}) at residual {res:g} > "
-                  f"{tol:g}; falling back to projected extragradient",
-                  RuntimeWarning)
+    for start in _starts(model, warm, retry):
+        sol, reason = _newton_from(model, feasible, tol, start)
+        steps += sol.evals
+        if sol.residual <= tol:
+            sol.evals = steps
+            return sol
+    warnings.warn(f"semismooth Newton stopped ({reason}) at residual "
+                  f"{sol.residual:g} > {tol:g}; falling back to projected "
+                  "extragradient", RuntimeWarning)
     return None
 
 
@@ -222,15 +258,18 @@ def peg_regularized(start: Array, model: RegularizedModel, feasible: FeasibleSet
 
 def solve_model_vi(model: RegularizedModel, feasible: FeasibleSet,
                    inner_tol: float, prefer: Optional[str] = None,
-                   peg_max_evals: int = _PEG_MAX_EVALS) -> SubproblemSolution:
+                   peg_max_evals: int = _PEG_MAX_EVALS,
+                   warm: Optional[Array] = None,
+                   retry: Optional[Array] = None) -> SubproblemSolution:
     """Solve the VI of a regularized model of order 2 or 3 over the set.
 
     For a linear base, a check that the Jacobian's symmetric part is not
     negative (``LinearModel.negative_sym_eig``, cached on the base, so one
     Cholesky factorization serves every trial of a line search); then
-    semismooth Newton on the normal map, then projected extragradient
-    from the anchor when Newton's answer is not certified.  A negative
-    symmetric part (with a RuntimeWarning on every solve) or
+    semismooth Newton on the normal map from ``warm``, anchor - M(anchor)
+    and ``retry`` in turn (``newton_normal_map``), then projected
+    extragradient from the anchor when no start's answer is certified.
+    A negative symmetric part (with a RuntimeWarning on every solve) or
     ``prefer='peg'`` goes to projected extragradient directly; ``prefer``
     takes no other value than None.
     Raises SubproblemFailure when the natural-map residual cannot be
@@ -246,7 +285,7 @@ def solve_model_vi(model: RegularizedModel, feasible: FeasibleSet,
                       RuntimeWarning)
         prefer = "peg"
     if prefer is None:
-        sol = newton_normal_map(model, feasible, inner_tol)
+        sol = newton_normal_map(model, feasible, inner_tol, warm, retry)
         if sol is not None:
             return sol
     u, res, evals = peg_regularized(model.anchor, model, feasible, inner_tol,

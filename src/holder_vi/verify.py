@@ -90,7 +90,7 @@ def remainder_sweep(inst: ProblemInstance, n_pairs: int = 10_000,
     bound)) over sampled pairs; nonpositive means the sweep is clean.
     """
     op, fs = inst.operator, inst.feasible
-    H = op.holder_const_p3 if order == 3 else op.holder_const
+    H = op.declared_const(order)
     if H is None:
         raise ConfigError(f"{inst.name} declares no third-order constant")
     build = build_quadratic_model if order == 3 else build_linear_model

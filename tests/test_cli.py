@@ -2,6 +2,7 @@
 
 import json
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -159,7 +160,7 @@ def test_order_three_bills_one_second_derivative_per_newton_jacobian(tmp_path):
                  "--p", "3", "--H0", "auto", "--K", "10", "--seed", "0",
                  "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "summary.json").read_text())
-    assert payload["counters"]["D_evals"] == 222
+    assert payload["counters"]["D_evals"] == 171
 
 
 @pytest.mark.parametrize("extra", [
@@ -293,6 +294,18 @@ def test_rates_sweep_writes_slope_files(tmp_path):
     assert payload["grid"] == [8, 12, 16, 24, 32]
     rows = (tmp_path / "rates.csv").read_text().splitlines()
     assert "K,gap_avg" in rows
+
+
+def test_rates_gaps_equal_runs_made_one_at_a_time(tmp_path):
+    # the grid runs on pool threads; each run keeps its Newton start points
+    # to itself, so every gap equals that of the same run made alone
+    grid = (16, 32, 64, 128)
+    argv = ["rates", "--problem", "power:d=5,nu=0.5", "--method", "nu-aren",
+            "--H0", "auto", "--grid", ",".join(map(str, grid)), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    gaps = json.loads((tmp_path / "rates.json").read_text())["gaps"]
+    instance, cfg, _ = cli._resolve(build_parser().parse_args(argv))
+    assert gaps == [cli.execute(instance, replace(cfg, K=K)).final_gap for K in grid]
 
 
 def test_rates_with_too_few_positive_gaps_is_solver_error(tmp_path, capsys,

@@ -6,6 +6,7 @@ import pytest
 from holder_vi import linesearch, subproblem
 from holder_vi.errors import LineSearchExhausted, SubproblemFailure
 from holder_vi.linesearch import SearchMode, criterion_accepts, next_H, search
+from holder_vi.model import RegularizedModel, build_linear_model
 from holder_vi.problems import default_start, make_piecewise, make_power
 from holder_vi.solvers import Counters
 
@@ -99,7 +100,7 @@ def starve_first_solve(monkeypatch):
     coefficients the search solved at."""
     calls = []
 
-    def solve(model, feasible, tol):
+    def solve(model, feasible, tol, warm=None, retry=None):
         calls.append(model.H)
         if len(calls) == 1:
             return subproblem.solve_model_vi(model, feasible, tol, prefer="peg",
@@ -138,6 +139,41 @@ def test_gap_check_short_circuits(power_nu1):
     assert out.early_exit_gap == 0.0
     assert out.i_k == 0
     assert out.f_at_accepted is not None
+
+
+def test_later_trial_starts_from_the_previous_trial(power_nu1):
+    # at H = 1 trial 0 is rejected; trial 1's model differs only in H, so
+    # Newton started from trial 0's normal-map point needs fewer steps
+    # than from anchor - M(anchor) and lands on the same solution
+    z, tol, mode = default_start(power_nu1), 1e-10, SearchMode.holder(1.0)
+    out = search(power_nu1.operator, power_nu1.feasible, z, 1.0, mode, tol, 60)
+    assert out.i_k == 1
+    base = build_linear_model(power_nu1.operator, z)
+    trial0 = subproblem.solve_model_vi(RegularizedModel(base, 1.0, 1.0),
+                                       power_nu1.feasible, tol)
+    model = RegularizedModel(base, 1.0, 2.0)
+    warm = subproblem.solve_model_vi(model, power_nu1.feasible, tol, warm=trial0.x)
+    cold = subproblem.solve_model_vi(model, power_nu1.feasible, tol)
+    assert warm.method == cold.method == "newton"
+    assert warm.evals < cold.evals
+    assert np.linalg.norm(warm.point - cold.point) <= tol
+    assert np.array_equal(out.accepted_point, warm.point)
+    assert np.array_equal(out.x_at_accepted, warm.x)
+
+
+def test_every_newton_matrix_of_a_search_shares_one_buffer(power_nu1, monkeypatch):
+    buffers, jacobian_at = [], RegularizedModel.jacobian_at
+
+    def recorded(self, z, out=None):
+        buffers.append((out, self.base.workspace))
+        return jacobian_at(self, z, out=out)
+
+    monkeypatch.setattr(RegularizedModel, "jacobian_at", recorded)
+    out = search(power_nu1.operator, power_nu1.feasible, default_start(power_nu1),
+                 1e-3, SearchMode.holder(1.0), 1e-10, 60)
+    assert out.i_k >= 1
+    assert len(buffers) > out.i_k + 1
+    assert all(buf is buffers[0][1] and ws is buf for buf, ws in buffers)
 
 
 def test_search_bills_subproblem_counter(power_nu1):

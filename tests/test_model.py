@@ -160,6 +160,11 @@ def test_regularized_jacobian_is_bit_identical_to_the_plain_sum(rng, dim, power)
             assert np.array_equal(got, summed_jacobian(base, power, 1.3, z))
             assert got is not base.jacobian
             assert base.jacobian.tobytes() == before.tobytes()
+            # written into a caller's buffer (stale contents), the same bits
+            out = np.full((dim, dim), np.nan)
+            assert m.jacobian_at(z, out=out) is out
+            assert np.array_equal(out, got)
+            assert base.jacobian.tobytes() == before.tobytes()
 
 
 def test_quadratic_jacobian_is_one_second_derivative_call(rng):

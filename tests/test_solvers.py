@@ -1,19 +1,24 @@
 """Outer loops: fixed, adaptive, universal, and the extragradient baseline."""
 
 import math
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holder_vi.core import Ball, Box, Operator, SolverConfig, WholeSpace
-from holder_vi.errors import ConfigError, DegenerateRegularization
+from holder_vi.errors import ConfigError, DegenerateRegularization, HolderVIError
 from holder_vi.problems import default_start, make_power
 from holder_vi.solvers import (
     ergodic_average,
     k_for_accuracy,
     run_extragradient,
     run_nu_aren,
+    run_nu_aret,
     run_nu_ren,
     run_uren,
 )
@@ -298,3 +303,83 @@ def test_extragradient_reduces_gap(bilinear):
                             default_start(bilinear), cfg)
     assert run.final_gap < run.records[0].gap_avg
     assert run.bound_checks["H_bound"].status == "not-applicable"
+
+
+# ------------------------------------------- random and skew box instances
+
+def box_game(seed):
+    """Bilinear saddle F = (A y + a, -A^T x - b) on [-1, 1]^10 whose
+    stationary point 1.5 uniform(-1, 1) lies partly outside the box."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((5, 5))
+    x_star, y_star = np.split(1.5 * rng.uniform(-1.0, 1.0, 10), 2)
+    J = np.block([[np.zeros((5, 5)), A], [-A.T, np.zeros((5, 5))]])
+    q = np.concatenate([-A @ y_star, A.T @ x_star])
+    op = Operator(dim=10, fn=lambda z: J @ z + q, jac_fn=lambda z: J)
+    return op, Box(10, -np.ones(10), np.ones(10))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(6))
+def test_box_game_certifies_by_newton_promptly(seed):
+    # F is affine, so every trial is accepted and H halves towards the
+    # unregularized skew VI, where Newton stalls from anchor - M(anchor);
+    # its retry from the run's last accepted point keeps every solve off PEG
+    op, box = box_game(seed)
+    t0 = time.perf_counter()
+    run = run_nu_aren(op, box, np.zeros(10),
+                      SolverConfig(method="nu-aren", nu=1.0, H0=1.0, K=100))
+    assert time.perf_counter() - t0 <= 0.2
+    assert run.final_gap <= 1e-12
+
+
+def random_affine_instance(seed, w, d, kind, reach):
+    """F = M (z - target) with M = w B B^T / d + (S - S^T) / 2 (monotone)
+    on the unit ball or [-1, 1]^d; the target lies ``reach`` radii out.
+    The Jacobian is constant, so any declared constant holds."""
+    rng = np.random.default_rng(seed)
+    B, S = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+    M = w * (B @ B.T) / d + (S - S.T) / 2.0
+    u = rng.standard_normal(d)
+    if kind == "ball":
+        fs, target = Ball(d, np.zeros(d), 1.0), reach * u / np.linalg.norm(u)
+    else:
+        fs, target = Box(d, -np.ones(d), np.ones(d)), reach * u / np.abs(u).max()
+    q = -M @ target
+    op = Operator(dim=d, fn=lambda z: M @ z + q, jac_fn=lambda z: M,
+                  deriv_fn=lambda order, z, dirs: np.zeros((d, *np.shape(dirs[-1])[1:])),
+                  nu=1.0, holder_const=1.0, holder_const_p3=1.0)
+    return op, fs
+
+
+RANDOM_RUNS = {"nu-aren": (run_nu_aren, dict(H0=1.0, K=30)),
+               "uren": (run_uren, dict(H0=1.0, K=30)),
+               "nu-ren": (run_nu_ren, dict(H=1.0, K=30)),
+               "nu-aret": (run_nu_aret, dict(H0=1.0, K=10, p=3))}
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True)
+@given(seed=st.integers(0, 2**16), w=st.sampled_from([0.0, 0.1, 1.0]),
+       d=st.sampled_from([2, 3, 6, 10]), kind=st.sampled_from(["ball", "box"]),
+       reach=st.sampled_from([0.3, 1.5, 4.0]), method=st.sampled_from(sorted(RANDOM_RUNS)))
+def test_random_monotone_runs_certify_or_fail_typed(seed, w, d, kind, reach, method):
+    op, fs = random_affine_instance(seed, w, d, kind, reach)
+    run, settings_ = RANDOM_RUNS[method]
+    t0 = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = run(op, fs, np.zeros(d), SolverConfig(method=method, **settings_))
+        except HolderVIError:
+            result = None
+    assert time.perf_counter() - t0 <= 2.0
+    assert not [c for c in caught if "falling back" in str(c.message)]
+    if result is None:
+        return
+    assert all(v.ok for v in result.bound_checks.values())
+    # the weak gap max_y <F(y), z - y> over sampled y never exceeds the
+    # certified strong-gap bound at z
+    z = result.averaged_point
+    lower = max(float(op.value(y) @ (z - y))
+                for y in fs.sample(np.random.default_rng(seed), 400))
+    assert result.final_gap >= lower - 1e-12

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holder_vi import subproblem
 from holder_vi.core import Ball, Box, Operator, WholeSpace
 from holder_vi.errors import DegenerateRegularization, SubproblemFailure
 from holder_vi.linesearch import SearchMode, search
@@ -391,6 +392,47 @@ def test_default_path_agrees_with_peg_on_random_models(seed, kind, power, H, ord
     assert sol.method == "newton"
     assert sol.residual <= tol
     assert np.linalg.norm(peg.point - sol.point) <= 1e-6
+
+
+@pytest.mark.parametrize("stalls", [0, 1, 2, 3])
+def test_newton_tries_warm_then_default_then_retry(monkeypatch, stalls):
+    # a stub stalls Newton from the first ``stalls`` starts; the warning and
+    # the PEG fallback come only once all three starts have stalled
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((4, 4))
+    m = RegularizedModel(LinearModel(np.zeros(4), rng.standard_normal(4),
+                                     B @ B.T / 4 + np.eye(4)), 1.0, 1.0)
+    box = Box(4, -np.ones(4), np.ones(4))
+    warm, retry = np.full(4, 0.3), np.full(4, -0.3)
+    events, newton, peg = [], subproblem._newton, subproblem.peg_regularized
+
+    def stub(model, feasible, tol, x):
+        events.append(("warm" if x is warm else "retry" if x is retry else "default",
+                       len(caught)))
+        if len(events) <= stalls:
+            u = feasible.project(x)
+            return x, u, model(u), 1, "backtracking stalled"
+        return newton(model, feasible, tol, x)
+
+    def recorded_peg(*args):
+        events.append(("peg", len(caught)))
+        return peg(*args)
+
+    monkeypatch.setattr(subproblem, "_newton", stub)
+    monkeypatch.setattr(subproblem, "peg_regularized", recorded_peg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_model_vi(m, box, 1e-10, warm=warm, retry=retry)
+    starts = [(name, 0) for name in ("warm", "default", "retry")]
+    if stalls < 3:
+        assert events == starts[:stalls + 1]
+        assert (sol.method, len(caught)) == ("newton", 0)
+        assert sol.evals > stalls
+    else:
+        assert events == starts + [("peg", 1)]
+        assert "falling back" in str(caught[0].message)
+        assert sol.method == "peg" and sol.x is None
+    assert sol.residual <= 1e-10
 
 
 def test_indefinite_jacobian_warns_and_falls_back():

@@ -191,7 +191,7 @@ def test_order_three_inner_failure_rejects_the_trial(quartic, monkeypatch):
     assert run_nu_aret(*args).records[0].i_k == 0
     calls = []
 
-    def starved(model, feasible, tol):
+    def starved(model, feasible, tol, warm=None, retry=None):
         calls.append(model.H)
         budget = {"prefer": "peg", "peg_max_evals": 3} if len(calls) == 1 else {}
         return subproblem.solve_model_vi(model, feasible, tol, **budget)
