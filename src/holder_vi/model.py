@@ -123,25 +123,25 @@ class RegularizedModel:
         nd = math.sqrt(d @ d)
         return self.base.taylor(d) + (self.H * nd ** self.power) * d
 
-    def jacobian_at(self, z: Array, out: Optional[Array] = None) -> Array:
+    def jacobian_at(self, z: Array) -> Array:
         """Base Jacobian + H (|d|^power I + power |d|^(power-2) d d^T), with
-        0^0 = 1, built in ``out`` (a new d x d buffer when None) and
-        returned: the rank-1 term, J added into it, then the diagonal
-        written as (J_ii + c) + beta d_i^2, so every entry rounds as in
-        (J + c I) + beta d d^T.  The base Jacobian is never written to."""
+        0^0 = 1, built in the base's ``workspace`` and returned, so the
+        next call on the same base overwrites it: the rank-1 term, J added
+        into it, then the diagonal written as (J_ii + c) + beta d_i^2, so
+        every entry rounds as in (J + c I) + beta d d^T.  The base
+        Jacobian is never written to."""
         d = z - self.base.anchor
         nd = math.sqrt(d @ d)
         J = self.base.jacobian_at(z)
         c = self.H * nd ** self.power
         diag = J.diagonal() + c
+        out = self.base.workspace
         if nd > 0.0 and self.power != 0.0:
             beta = self.H * self.power * nd ** (self.power - 2.0)
-            out = np.multiply.outer(d, d, out=out)
+            np.multiply.outer(d, d, out=out)
             out *= beta
             out += J
             diag += beta * (d * d)
-        elif out is None:
-            out = J.copy()
         else:
             out[...] = J
         out.flat[::d.shape[0] + 1] = diag

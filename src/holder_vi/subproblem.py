@@ -90,8 +90,7 @@ def _newton(model, feasible: FeasibleSet, tol: float, x: Array):
     steps = 0
     reason = "normal-map residual met the tolerance"
     while steps < _NEWTON_MAX_STEPS:
-        JM = model.jacobian_at(u, out=model.base.workspace)
-        G = feasible.normal_map_jacobian(x, JM)
+        G = feasible.normal_map_jacobian(x, model.jacobian_at(u))
         try:
             s = np.linalg.solve(G, -r)
         except np.linalg.LinAlgError:
@@ -119,12 +118,12 @@ def _newton(model, feasible: FeasibleSet, tol: float, x: Array):
 
 def _starts(model: RegularizedModel, warm: Optional[Array],
             retry: Optional[Array]):
-    """Newton's starts in order: warm, anchor - M(anchor), retry."""
+    """Newton's named starts in order: warm, anchor - M(anchor), retry."""
     if warm is not None:
-        yield warm
-    yield model.anchor - model(model.anchor)
+        yield "warm", warm
+    yield "default", model.anchor - model(model.anchor)
     if retry is not None:
-        yield retry
+        yield "retry", retry
 
 
 def _newton_from(model: RegularizedModel, feasible: FeasibleSet, tol: float,
@@ -180,20 +179,27 @@ def newton_normal_map(model: RegularizedModel, feasible: FeasibleSet,
     (multiplier 0); otherwise the ball's Newton starts from it.
 
     Returns None, after a RuntimeWarning, when no start brings the
-    natural residual below ``tol``; the caller then falls back to
+    natural residual below ``tol``; the warning gives why and at what
+    residual Newton stopped from the default start, and the residuals at
+    which the other starts stalled.  The caller then falls back to
     projected extragradient.  ``evals`` counts Newton steps over every
     start tried, and ``x`` is the certified normal-map point.
     """
-    steps = 0
-    for start in _starts(model, warm, retry):
+    steps, stalled = 0, {}
+    for name, start in _starts(model, warm, retry):
         sol, reason = _newton_from(model, feasible, tol, start)
         steps += sol.evals
         if sol.residual <= tol:
             sol.evals = steps
             return sol
-    warnings.warn(f"semismooth Newton stopped ({reason}) at residual "
-                  f"{sol.residual:g} > {tol:g}; falling back to projected "
-                  "extragradient", RuntimeWarning)
+        stalled[name] = (sol.residual, reason)
+    res, reason = stalled.pop("default")
+    also = ", ".join(f"{name} start at {r:g}" for name, (r, _) in stalled.items())
+    if also:
+        also = f" (also stalled: {also})"
+    warnings.warn(f"semismooth Newton stopped ({reason}) at residual {res:g} > "
+                  f"{tol:g}{also}; falling back to projected extragradient",
+                  RuntimeWarning)
     return None
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holder_vi.core import Ball, Box, Operator, SolverConfig, WholeSpace
@@ -358,7 +358,15 @@ RANDOM_RUNS = {"nu-aren": (run_nu_aren, dict(H0=1.0, K=30)),
                "nu-aret": (run_nu_aret, dict(H0=1.0, K=10, p=3))}
 
 
+# The no-fallback assertion is a known-false property: a probe of 3,456
+# runs of this family (seeds 0-11) found one that falls back to PEG, kept
+# below as an explicit example.  Newton stalls there from the default start
+# and from the retry alike, which a cold-start globalization (ROADMAP item
+# 11) is to cure; a change of the strategies or of Hypothesis may draw
+# another such instance.
 @settings(max_examples=150, deadline=2000, derandomize=True)
+@example(seed=3, w=0.0, d=6, kind="box", reach=1.5, method="nu-aret").xfail(
+    raises=AssertionError, reason="Newton stalls from every start (ROADMAP item 11)")
 @given(seed=st.integers(0, 2**16), w=st.sampled_from([0.0, 0.1, 1.0]),
        d=st.sampled_from([2, 3, 6, 10]), kind=st.sampled_from(["ball", "box"]),
        reach=st.sampled_from([0.3, 1.5, 4.0]), method=st.sampled_from(sorted(RANDOM_RUNS)))

@@ -407,11 +407,11 @@ def test_newton_tries_warm_then_default_then_retry(monkeypatch, stalls):
     events, newton, peg = [], subproblem._newton, subproblem.peg_regularized
 
     def stub(model, feasible, tol, x):
-        events.append(("warm" if x is warm else "retry" if x is retry else "default",
-                       len(caught)))
+        name = "warm" if x is warm else "retry" if x is retry else "default"
+        events.append((name, len(caught)))
         if len(events) <= stalls:
             u = feasible.project(x)
-            return x, u, model(u), 1, "backtracking stalled"
+            return x, u, model(u), 1, f"stalled from {name}"
         return newton(model, feasible, tol, x)
 
     def recorded_peg(*args):
@@ -430,7 +430,11 @@ def test_newton_tries_warm_then_default_then_retry(monkeypatch, stalls):
         assert sol.evals > stalls
     else:
         assert events == starts + [("peg", 1)]
-        assert "falling back" in str(caught[0].message)
+        # why Newton stopped from the default start, and every start's residual
+        message = str(caught[0].message)
+        assert "falling back" in message and "(stalled from default)" in message
+        assert "(also stalled: warm start at " in message
+        assert ", retry start at " in message
         assert sol.method == "peg" and sol.x is None
     assert sol.residual <= 1e-10
 
